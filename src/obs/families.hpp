@@ -61,28 +61,17 @@ struct SessionMetrics {
   Counter& cache_evictions;
 
   static constexpr std::uint32_t kSampleEvery = 64;  // latency sampling period
-  /// True once every kSampleEvery calls on this thread — keeps the two
-  /// steady_clock reads off the common per-message path.
-  static bool sample() {
-    thread_local std::uint32_t tick = 0;
-    return (++tick & (kSampleEvery - 1)) == 0;
+  enum class Direction : std::uint8_t { Serialize, Parse };
+  /// True once every kSampleEvery calls on this thread in direction `d` —
+  /// keeps the two steady_clock reads off the common per-message path.
+  /// Each direction ticks on its own: a server thread alternates
+  /// parse(request) and serialize(reply), and a shared tick would land
+  /// every sample on the same direction.
+  static bool sample(Direction d) {
+    thread_local std::uint32_t ticks[2] = {0, 0};
+    return (++ticks[static_cast<std::size_t>(d)] & (kSampleEvery - 1)) == 0;
   }
   static SessionMetrics& get();
-};
-
-/// Native-backend (generated-code compile + cache) metrics.
-struct NativeMetrics {
-  Counter& hits;
-  Counter& misses;
-  Counter& disk_hits;
-  Counter& recompiles;
-  Counter& coalesced;
-  Counter& errors;
-  Counter& poisoned;
-  Gauge& cache_size;
-  Histogram& compile_ns;  // cold compile latency
-
-  static NativeMetrics& get();
 };
 
 /// ReliableClient reconnect/resend metrics, process-wide.

@@ -4,13 +4,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 
 #include "codegen/generator.hpp"
 #include "core/protoobf.hpp"
-#include "native/compiler.hpp"
-#include "native/protocol.hpp"
 #include "protocols/http.hpp"
 #include "protocols/modbus.hpp"
 
@@ -88,6 +85,21 @@ TEST(Codegen, TransformHelpersAppearInSource) {
   EXPECT_NE(code.source.find("_fwd"), std::string::npos);
   EXPECT_NE(code.source.find("_inv"), std::string::npos);
   EXPECT_NE(code.source.find("rnd_byte"), std::string::npos);
+}
+
+TEST(Codegen, OutputIsOnlyTheGeneratedLibrary) {
+  // §VII-B measures the generated parser/serializer itself, so the unit
+  // holds only that library: at seed 404 the HTTP library grows more than
+  // threefold from per_node 0 to per_node 2.
+  const GeneratedCode plain = generate_cpp(make(http::request_spec(), 0));
+  const GeneratedCode obf = generate_cpp(make(http::request_spec(), 2));
+  EXPECT_EQ(plain.source.find("po_native"), std::string::npos);
+  EXPECT_EQ(obf.source.find("po_native"), std::string::npos);
+  ASSERT_GT(plain.metrics.lines, 0u);
+  EXPECT_GE(static_cast<double>(obf.metrics.lines) /
+                static_cast<double>(plain.metrics.lines),
+            3.0)
+      << obf.metrics.lines << " / " << plain.metrics.lines;
 }
 
 class CodegenCompiles : public ::testing::TestWithParam<int> {};
@@ -174,55 +186,6 @@ int main(int argc, char** argv) {
   EXPECT_EQ(echoed, to_hex(wire));
   std::remove(src.c_str());
   std::remove(bin.c_str());
-}
-
-TEST(CodegenExecution, ObfuscatedUnitCompilesLoadsAndRoundTrips) {
-  // The stronger claim, at per_node > 0: the generated unit's po_native
-  // section is not just valid C++ — compiled, dlopen'd and driven through
-  // the ABI it reproduces the runtime engine's bytes exactly. Golden
-  // round-trip: interpreter-serialized wire -> native parse -> native
-  // fix_emit -> the same bytes.
-  if (!native::NativeCompiler::toolchain_available()) {
-    GTEST_SKIP() << "native toolchain unavailable in this build mode: "
-                 << native::NativeCompiler::toolchain_status();
-  }
-  auto g = Framework::load_spec(modbus::request_spec()).value();
-  ObfuscationConfig cfg;
-  cfg.per_node = 2;
-  cfg.seed = 404;
-  auto protocol = Framework::generate(g, cfg).value();
-
-  native::NativeCompiler::Options options;
-  options.cache_dir = ::testing::TempDir() + "protoobf-codegen-exec";
-  std::filesystem::remove_all(options.cache_dir);
-  native::NativeCompiler compiler(options);
-  auto built = compiler.compile(
-      protocol, native::NativeCompiler::cache_file_base(protocol, 0xC0DE9E4,
-                                                        cfg.seed,
-                                                        cfg.per_node));
-  ASSERT_TRUE(built.ok()) << built.error().message;
-  ASSERT_NE(built->unit, nullptr);
-  EXPECT_FALSE(built->disk_hit) << "fresh dir cannot have a cached unit";
-  EXPECT_GT(built->compile_ms, 0.0);
-
-  native::NativeProtocol backend(protocol, built->unit);
-  Message msg = modbus::make_read_holding(g, 0x0001, 0x11, 0x006b, 3);
-  for (std::uint64_t msg_seed : {1ull, 2ull, 99ull}) {
-    Bytes interp, nat;
-    ASSERT_TRUE(
-        protocol.serialize_with(nullptr, msg.root(), msg_seed, interp).ok());
-    ASSERT_TRUE(
-        protocol.serialize_with(&backend, msg.root(), msg_seed, nat).ok());
-    EXPECT_EQ(to_hex(nat), to_hex(interp)) << "msg_seed " << msg_seed;
-
-    // Parse agreement is against the interpreter's canonical result (the
-    // hand-built message need not be in canonical form).
-    auto reparsed = protocol.parse_with(&backend, nat);
-    auto reference = protocol.parse_with(nullptr, nat);
-    ASSERT_TRUE(reparsed.ok()) << reparsed.error().message;
-    ASSERT_TRUE(reference.ok()) << reference.error().message;
-    EXPECT_TRUE(ast::equal(**reparsed, **reference));
-  }
 }
 
 }  // namespace

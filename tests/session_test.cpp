@@ -14,6 +14,7 @@
 #include <set>
 #include <thread>
 
+#include "obs/families.hpp"
 #include "protocols/http.hpp"
 #include "protocols/modbus.hpp"
 #include "session/protocol_cache.hpp"
@@ -450,6 +451,32 @@ TEST(SessionArena, RetainsCapacityAcrossMessages) {
   auto second = session.serialize(msg.root(), 2);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(kept, Bytes(second->begin(), second->end()));
+}
+
+TEST(SessionMetrics, AlternatingThreadSamplesBothDirections) {
+  // A server thread alternates parse(request) and serialize(reply). Each
+  // direction keeps its own 1-in-kSampleEvery tick, so both latency
+  // histograms record; a shared tick would land every sample on one side.
+  ProtocolCache cache;
+  auto protocol = cache.get_or_compile(kSmallSpec, config_of(12, 2));
+  ASSERT_TRUE(protocol.ok()) << protocol.error().message;
+  auto g = Framework::load_spec(kSmallSpec).value();
+  Message msg(g);
+  msg.set_uint("tag", 3);
+  msg.set("data", to_bytes("ping"));
+
+  obs::SessionMetrics& m = obs::SessionMetrics::get();
+  const std::uint64_t serialized_before = m.serialize_ns.count();
+  const std::uint64_t parsed_before = m.parse_ns.count();
+  Session session(*protocol);
+  for (std::uint64_t i = 0; i < 128; ++i) {
+    auto wire = session.serialize(msg.root(), i);
+    ASSERT_TRUE(wire.ok()) << wire.error().message;
+    const Bytes request(wire->begin(), wire->end());
+    ASSERT_TRUE(session.parse(request).ok());
+  }
+  EXPECT_GT(m.serialize_ns.count(), serialized_before);
+  EXPECT_GT(m.parse_ns.count(), parsed_before);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Allocation profile of the message hot path: heap allocations per message
 // for serialize and parse, plain ObfuscatedProtocol calls vs. the pooled
-// Session paths.
+// Session paths, plus a per-stage time table of the plain pipelines.
 //
 // The point of the InstPool/arena work is that a steady-state session
 // performs O(1) heap allocations per message where the plain paths pay
@@ -9,16 +9,31 @@
 // hook, after a warm-up that grows every pool to its high-water mark, and
 // writes BENCH_alloc.json so CI can archive the trajectory.
 //
+// The stage table replays the plain serialize and parse pipelines stage by
+// stage through the same public calls ObfuscatedProtocol makes, and prints
+// the sum of the stages next to the end-to-end plain serialize+parse time
+// of the same messages, so a change in end-to-end time can be traced to
+// the layer that produced it. Each stage and the end-to-end time keep their
+// best of `repeats` passes.
+//
 // Usage: bench_alloc_profile [messages] [repeats] [per_node] [json_path]
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <new>
 
 #include "ast/ast.hpp"
 #include "harness.hpp"
+#include "runtime/derive.hpp"
+#include "runtime/emit.hpp"
+#include "runtime/parse.hpp"
 #include "session/protocol_cache.hpp"
 #include "session/session.hpp"
+#include "transform/exec.hpp"
 
 // --- operator-new hook ------------------------------------------------------
 // Counts every heap allocation in the process. Deletes are deliberately
@@ -77,6 +92,95 @@ double allocs_per_msg(std::size_t messages, int repeats, Body&& body) {
   const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
   return static_cast<double>(after - before) /
          static_cast<double>(messages * static_cast<std::size_t>(repeats));
+}
+
+// --- per-stage timing -------------------------------------------------------
+
+enum Stage {
+  kCopyCheck,
+  kCanonicalize,
+  kForward,
+  kFixHolders,
+  kEmit,
+  kParseWire,
+  kInverse,
+  kCanonicalChecks,
+  kStages
+};
+
+constexpr const char* kStageNames[kStages] = {
+    "copy+check", "canonicalize", "forward_all",  "fix_holders",
+    "emit",       "parse_wire",   "inverse_all",  "canonical checks"};
+
+using Clock = std::chrono::steady_clock;
+
+/// Wall nanoseconds of one pass over the messages.
+struct PassNs {
+  std::array<double, kStages> stage{};
+  double end_to_end = 0;  // plain serialize + parse
+};
+
+/// One pass over `msgs`. Each message first runs the plain pipelines stage
+/// by stage, with the calls ObfuscatedProtocol::serialize_into and
+/// parse_impl make when given no pool, scope table or scratch (each tree is
+/// freed inside the stage that ends its use), then once more end to end
+/// through plain serialize and parse. Timing both per message puts them
+/// under the same host conditions. False on any failure, or when the
+/// replayed stages emit other bytes than serialize.
+bool time_pass(const ObfuscatedProtocol& protocol, const HolderTable& holders,
+               const std::vector<NodeId>& canon_holders,
+               const std::vector<Message>& msgs, PassNs& ns) {
+  const Graph& g1 = protocol.original();
+  const Graph& wire = protocol.wire_graph();
+  const Journal& journal = protocol.journal();
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    const std::uint64_t msg_seed = msg_seed_of(i);
+    Clock::time_point t = Clock::now();
+    const auto lap = [&](double& total) {
+      const Clock::time_point now = Clock::now();
+      total += static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(now - t)
+              .count());
+      t = now;
+    };
+
+    if (!ast::check(g1, msgs[i].root())) return false;
+    InstPtr tree = ast::copy(nullptr, msgs[i].root());
+    lap(ns.stage[kCopyCheck]);
+    if (!canonicalize(g1, *tree, &canon_holders) ||
+        !check_presence(g1, *tree)) {
+      return false;
+    }
+    lap(ns.stage[kCanonicalize]);
+    Rng rng(msg_seed);
+    if (!forward_all(tree, journal, rng)) return false;
+    lap(ns.stage[kForward]);
+    if (!fix_holders(wire, journal, holders, *tree, msg_seed)) return false;
+    lap(ns.stage[kFixHolders]);
+    Bytes out;
+    if (!emit_into(wire, *tree, out)) return false;
+    tree.reset();
+    lap(ns.stage[kEmit]);
+
+    auto parsed = parse_wire(wire, journal, holders, out);
+    if (!parsed) return false;
+    lap(ns.stage[kParseWire]);
+    if (!inverse_all(*parsed, journal)) return false;
+    lap(ns.stage[kInverse]);
+    if (!fill_consts(g1, **parsed) ||
+        !canonicalize(g1, **parsed, &canon_holders) ||
+        !ast::check(g1, **parsed)) {
+      return false;
+    }
+    parsed->reset();
+    lap(ns.stage[kCanonicalChecks]);
+
+    auto image = protocol.serialize(msgs[i].root(), msg_seed);
+    if (!image || !protocol.parse(*image)) return false;
+    lap(ns.end_to_end);
+    if (*image != out) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -174,6 +278,33 @@ int main(int argc, char** argv) {
     }
   });
 
+  const HolderTable holders =
+      build_holder_table(protocol.original(), protocol.journal());
+  const std::vector<NodeId> canon_holders =
+      canonical_holder_ids(protocol.original());
+  PassNs best;
+  best.stage.fill(std::numeric_limits<double>::infinity());
+  best.end_to_end = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < repeats; ++r) {
+    PassNs pass;
+    if (!time_pass(protocol, holders, canon_holders, msgs, pass)) {
+      std::fprintf(stderr, "stage replay failed or disagreed\n");
+      return 1;
+    }
+    for (int k = 0; k < kStages; ++k) {
+      best.stage[k] = std::min(best.stage[k], pass.stage[k]);
+    }
+    best.end_to_end = std::min(best.end_to_end, pass.end_to_end);
+  }
+  const double per_msg_us = 1e-3 / static_cast<double>(messages);
+  std::array<double, kStages> stage_us{};
+  double stage_sum_us = 0;
+  for (int k = 0; k < kStages; ++k) {
+    stage_us[k] = best.stage[k] * per_msg_us;
+    stage_sum_us += stage_us[k];
+  }
+  const double e2e_us = best.end_to_end * per_msg_us;
+
   const InstPool::Stats pool = session.arena().nodes().stats();
 
   std::printf("alloc_profile — %s, per_node=%d, %zu msgs x %d repeats, "
@@ -185,6 +316,14 @@ int main(int argc, char** argv) {
   std::printf("  %-22s %10.2f allocs/msg\n", "parse/session", parse_session);
   std::printf("  node pool: %zu hits, %zu misses, %zu slabs, %zu live\n",
               pool.hits, pool.misses, pool.slabs, pool.live);
+  std::printf("  plain pipeline stages (best of %d, us/msg):\n", repeats);
+  for (int k = 0; k < kStages; ++k) {
+    std::printf("    %-18s %8.2f  %5.1f%%\n", kStageNames[k], stage_us[k],
+                100.0 * stage_us[k] / stage_sum_us);
+  }
+  std::printf("    %-18s %8.2f\n", "stage sum", stage_sum_us);
+  std::printf("    %-18s %8.2f  (stage sum / end-to-end %.3f)\n",
+              "plain ser+parse", e2e_us, stage_sum_us / e2e_us);
 
   if (std::FILE* f = std::fopen(json_path, "w")) {
     std::fprintf(f,
@@ -200,11 +339,21 @@ int main(int argc, char** argv) {
                  "  \"parse_plain_allocs_per_msg\": %.3f,\n"
                  "  \"parse_session_allocs_per_msg\": %.3f,\n"
                  "  \"pool_hits\": %zu,\n"
-                 "  \"pool_misses\": %zu\n"
-                 "}\n",
+                 "  \"pool_misses\": %zu,\n"
+                 "  \"stage_us_per_msg\": {",
                  workload.name.c_str(), per_node, messages, repeats,
                  tree_nodes, ser_plain, ser_session, parse_plain,
                  parse_session, pool.hits, pool.misses);
+    for (int k = 0; k < kStages; ++k) {
+      std::fprintf(f, "%s\"%s\": %.3f", k == 0 ? "" : ", ", kStageNames[k],
+                   stage_us[k]);
+    }
+    std::fprintf(f,
+                 "},\n"
+                 "  \"stage_sum_us_per_msg\": %.3f,\n"
+                 "  \"plain_end_to_end_us_per_msg\": %.3f\n"
+                 "}\n",
+                 stage_sum_us, e2e_us);
     std::fclose(f);
     std::printf("  wrote %s\n", json_path);
   } else {

@@ -66,6 +66,21 @@ Status collect_pairs(const Graph& graph, Inst& root,
       scopes);
 }
 
+/// The memo entry of `holder` in this fix_holders() call, added (unknown)
+/// on first sight. Keyed by instance, not by pair index, so two pairs that
+/// share a holder see each other's rebuilds. Entries past `memo_size` keep
+/// their buffers for later calls.
+HolderMemo& memo_of(DeriveScratch& scratch, const Inst* holder) {
+  for (std::size_t i = 0; i < scratch.memo_size; ++i) {
+    if (scratch.memo[i].holder == holder) return scratch.memo[i];
+  }
+  if (scratch.memo_size == scratch.memo.size()) scratch.memo.emplace_back();
+  HolderMemo& memo = scratch.memo[scratch.memo_size++];
+  memo.holder = holder;
+  memo.known = false;
+  return memo;
+}
+
 }  // namespace
 
 Status fill_consts(const Graph& graph, Inst& root) {
@@ -182,6 +197,7 @@ Status fix_holders(const Graph& wire, const Journal& journal,
   if (scratch == nullptr) scratch = &local_scratch;
   Bytes& encoded = scratch->encoded;
   std::vector<DeriveRef>& pairs = scratch->pairs;
+  scratch->memo_size = 0;  // memo entries describe this call's tree only
   for (int iter = 0; iter < kMaxFixpointIterations; ++iter) {
     if (Status s = collect_pairs(wire, root, pairs, scopes); !s) return s;
     bool changed = false;
@@ -206,17 +222,32 @@ Status fix_holders(const Graph& wire, const Journal& journal,
       }
 
       // Skip the rebuild if the holder already carries this logical value.
-      auto current = invert_clone(*pair.holder, journal, pool);
-      if (current && (*current)->schema == info->origin &&
-          (*current)->value == encoded) {
-        continue;
+      // An untransformed holder (empty chain) is read in place; any other
+      // is inverted through its chain once per call, then remembered.
+      HolderMemo* memo = nullptr;
+      const Bytes* current = &pair.holder->value;
+      if (!info->chain.empty()) {
+        memo = &memo_of(*scratch, pair.holder);
+        if (!memo->known) {
+          auto logical = invert_chain(*pair.holder, journal, info->chain, pool);
+          if (logical && (*logical)->schema == info->origin) {
+            memo->logical = (*logical)->value;
+            memo->known = true;
+          }
+        }
+        current = memo->known ? &memo->logical : nullptr;
       }
+      if (current != nullptr && *current == encoded) continue;
 
       Rng rng(msg_seed ^ (0x9e3779b97f4a7c15ull * (k + 1)));
       auto rebuilt =
           rerun_chain(info->origin, encoded, journal, info->chain, rng, pool);
       if (!rebuilt) return Unexpected(rebuilt.error());
       *pair.holder = std::move(**rebuilt);
+      if (memo != nullptr) {
+        memo->logical = encoded;
+        memo->known = true;
+      }
       changed = true;
     }
     if (!changed) return Status::success();

@@ -14,6 +14,11 @@
 //    it. Because value transformations may sit on top of a holder (split
 //    length fields, xored counters...), the holder's subtree is rebuilt by
 //    replaying its lineage chain over the fresh value (transform/lineage).
+//    Before a rebuild it asks whether the holder already carries the value:
+//    an untransformed holder is read in place, a transformed one is
+//    inverted through its own chain (about one journal entry, not the
+//    whole journal) on first sight and then remembered in DeriveScratch,
+//    so later fixpoint iterations decide with a byte compare.
 //
 // Both run small fixpoint loops: an ASCII-decimal length's width depends on
 // its own value, and nested holders depend on each other. Loops converge in
@@ -39,6 +44,15 @@ struct DeriveRef {
   bool is_counter;
 };
 
+/// The logical value a transformed holder instance carries, as one
+/// fix_holders() call last recovered (by chain inversion) or set (by a
+/// rebuild) it. `known` is false while the inversion has not succeeded.
+struct HolderMemo {
+  const Inst* holder = nullptr;
+  Bytes logical;
+  bool known = false;
+};
+
 /// Reusable scratch for the derive fixpoints. These vectors used to be
 /// function-local in canonicalize()/fix_holders() — the last O(1)-but-real
 /// allocations on the session hot path (ROADMAP "residual per-message
@@ -49,6 +63,10 @@ struct DeriveScratch {
   std::vector<DeriveRef> pairs;  // fixpoint work list
   std::vector<Inst*> matches;    // canonicalize() placeholder targets
   Bytes encoded;                 // holder-encoding buffer
+  // fix_holders() logical-value memo: entries [0, memo_size) belong to the
+  // running call (reset at its start); the rest keep their buffers.
+  std::vector<HolderMemo> memo;
+  std::size_t memo_size = 0;
 };
 
 /// Fills empty constant fields; errors if a non-empty value contradicts the

@@ -95,29 +95,40 @@ class WireParser {
     return Unexpected(what, r.pos);
   }
 
-  /// Logical value of an already-parsed reference target: pool-copy the
-  /// holder subtree and invert every transformation inside it. The caller
-  /// reads the value out of the returned (single-terminal) tree, so no
-  /// extra byte copy is made.
-  Expected<InstPtr> logical_tree(const Inst& holder, const Reader& r) const {
-    auto logical = invert_clone(holder, journal_, nodes_);
-    if (!logical) return Unexpected(logical.error());
-    if (!(*logical)->children.empty()) {
+  /// Logical value of an already-parsed reference target. A holder top
+  /// (`info` non-null) inverts only its lineage chain and, with an empty
+  /// chain, is read in place with no copy; any other target pool-copies
+  /// its subtree and inverts every journal entry. An inverted copy is kept
+  /// alive in `keep`, which the returned pointer reads from.
+  Expected<const Bytes*> logical_value(const Inst& target,
+                                       const HolderInfo* info, InstPtr& keep,
+                                       const Reader& r) const {
+    const Inst* logical = &target;
+    if (info == nullptr || !info->chain.empty()) {
+      auto inverted =
+          info != nullptr
+              ? invert_chain(target, journal_, info->chain, nodes_)
+              : invert_clone(target, journal_, nodes_);
+      if (!inverted) return Unexpected(inverted.error());
+      keep = std::move(*inverted);
+      logical = keep.get();
+    }
+    if (!logical->children.empty()) {
       return fail(r, "reference target does not invert to a terminal");
     }
-    return logical;
+    return &logical->value;
   }
 
   /// Logical scalar of a holder (length or count), decoded with the origin
   /// terminal's encoding.
   Expected<std::uint64_t> scalar(NodeId ref, const Inst& holder,
                                  const Reader& r) const {
-    auto logical = logical_tree(holder, r);
-    if (!logical) return Unexpected(logical.error());
-    const Bytes& bytes = (*logical)->value;
     const HolderInfo* info = table_.find_by_top(ref);
-    const NodeId origin = info != nullptr ? info->origin : ref;
-    const Node& n = wire_.node(origin);
+    InstPtr keep;
+    auto logical = logical_value(holder, info, keep, r);
+    if (!logical) return Unexpected(logical.error());
+    const Bytes& bytes = **logical;
+    const Node& n = wire_.node(info != nullptr ? info->origin : ref);
     if (n.encoding == Encoding::AsciiDec) {
       auto value = ascii_dec_decode(bytes);
       if (!value) return fail(r, "holder is not a decimal number");
@@ -387,9 +398,11 @@ class WireParser {
         if (!restored && n.condition.kind != Condition::Kind::Always) {
           auto ref = lookup(n.condition.ref, r);
           if (!ref) return Unexpected(ref.error());
-          auto logical = logical_tree(**ref, r);
+          InstPtr keep;
+          auto logical = logical_value(
+              **ref, table_.find_by_top(n.condition.ref), keep, r);
           if (!logical) return Unexpected(logical.error());
-          present = n.condition.evaluate((*logical)->value);
+          present = n.condition.evaluate(**logical);
         }
         if (present) {
           if (!restored) inst = ast::make(nodes_, id);

@@ -5,8 +5,10 @@
 // sub-node of AST from the message, it must first delimit the corresponding
 // sub-part"): a Length/Counter/Condition target may itself have been
 // transformed — split in two, xored, wrapped — so the parser recovers its
-// *logical* value by inverting the journal over the already-parsed holder
-// subtree before using it to delimit what follows.
+// *logical* value before using it to delimit what follows. A holder inverts
+// only its own lineage chain over the already-parsed subtree (read in place
+// when the chain is empty); any other condition target inverts the whole
+// journal over a copy of its subtree.
 #pragma once
 
 #include "ast/ast.hpp"

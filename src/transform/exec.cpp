@@ -359,6 +359,19 @@ Expected<InstPtr> invert_clone(const Inst& wire_subtree, const Journal& journal,
   return copy;
 }
 
+Expected<InstPtr> invert_chain(const Inst& holder_subtree,
+                               const Journal& journal,
+                               const std::vector<std::size_t>& chain,
+                               InstPool* pool) {
+  InstPtr copy = ast::copy(pool, holder_subtree);
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    if (Status s = inverse_entry(copy, journal[*it], pool); !s) {
+      return Unexpected(s.error());
+    }
+  }
+  return copy;
+}
+
 Expected<InstPtr> rerun_chain(NodeId origin, BytesView logical_value,
                               const Journal& journal,
                               const std::vector<std::size_t>& chain, Rng& rng,

@@ -41,8 +41,19 @@ Status inverse_all(InstPtr& root, const Journal& journal,
                    InstPool* pool = nullptr);
 
 /// Deep-copies a wire subtree and inverts every journal entry inside it.
-/// Used to recover the logical value of a reference target while parsing.
+/// Serves only condition targets that are not holder tops (see
+/// invert_chain): recovering their logical value while parsing.
 Expected<InstPtr> invert_clone(const Inst& wire_subtree, const Journal& journal,
+                               InstPool* pool = nullptr);
+
+/// Deep-copies a holder's wire subtree and inverts only its lineage entries
+/// (`chain`, indices into the journal, as in HolderInfo), last first. No
+/// other journal entry can match inside a holder subtree, so the result
+/// equals invert_clone's at the cost of the chain (about one entry) rather
+/// than the whole journal.
+Expected<InstPtr> invert_chain(const Inst& holder_subtree,
+                               const Journal& journal,
+                               const std::vector<std::size_t>& chain,
                                InstPool* pool = nullptr);
 
 /// Rebuilds the wire subtree of a derived field: starts from the original

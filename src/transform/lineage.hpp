@@ -15,7 +15,11 @@
 // growing subtree; replaying that chain over a freshly computed logical
 // value rebuilds the holder's wire subtree (transform/exec.hpp's
 // rerun_chain). The serializer uses this to fix up every holder once the
-// final wire sizes are known.
+// final wire sizes are known. Inverting the same chain (invert_chain)
+// recovers a holder's logical value: the serializer's fixpoint asks it
+// whether a holder needs a rebuild at all, and the parser reads lengths
+// and counts through it. Nothing outside the chain lands inside the
+// holder's subtree, so the rest of the journal never needs to run there.
 #pragma once
 
 #include <cstddef>

@@ -2,9 +2,13 @@
 // and fix_holders (wire values against G(n+1) with lineage replay).
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "core/protoobf.hpp"
+#include "protocols/http.hpp"
 #include "runtime/derive.hpp"
 #include "runtime/emit.hpp"
+#include "session/arena.hpp"
 #include "transform/exec.hpp"
 
 namespace protoobf {
@@ -210,6 +214,64 @@ m: seq end {
     ASSERT_TRUE(back.ok()) << seed << ": " << back.error().message;
     EXPECT_EQ(ast::find_path(g, **back, "m.items")->children.size(), 5u);
     EXPECT_EQ(be_decode(ast::find_path(g, **back, "m.n")->value), 5u);
+  }
+}
+
+// fix_holders() remembers each holder's logical value for one call in the
+// reusable DeriveScratch. One session arena serializing messages of
+// different shapes in turn (a one-header GET, a six-header POST with a
+// body, the GET again) must never read a memo entry left by an earlier
+// message: every image equals the plain serialize of the same input.
+TEST(FixHolders, ReusedScratchAcrossMessageShapesMatchesPlain) {
+  const Graph g = spec(http::request_spec());
+  const Message get = http::make_get(g, "/status", {{"Host", "plc.local"}});
+  const Message post = http::make_post(
+      g, "/api/v1/registers",
+      {{"Host", "plc.local"},
+       {"User-Agent", "protoobf-test"},
+       {"Accept", "application/json"},
+       {"Content-Type", "application/x-www-form-urlencoded"},
+       {"Connection", "keep-alive"},
+       {"X-Request-Id", "4f1c2a"}},
+      "address=64&quantity=3&values=1,2,3");
+  const Message* sequence[] = {&get, &post, &get};
+
+  for (const int per_node : {2, 4}) {
+    ObfuscationConfig cfg;
+    cfg.seed = 2018;
+    cfg.per_node = per_node;
+    auto p = Framework::generate(g, cfg).value();
+    const HolderTable table = build_holder_table(p.original(), p.journal());
+    SessionArena arena;
+    for (std::size_t i = 0; i < std::size(sequence); ++i) {
+      const Inst& message = sequence[i]->root();
+      const std::uint64_t msg_seed = 31 + i;
+      ASSERT_TRUE(p.serialize_into(message, msg_seed, arena.wire(), nullptr,
+                                   &arena.nodes(), &arena.scopes(),
+                                   &arena.derive())
+                      .ok());
+      EXPECT_EQ(arena.wire(), p.serialize(message, msg_seed).value())
+          << "per_node " << per_node << ", message " << i;
+
+      // A second fixpoint over an already-fixed tree finds nothing to do.
+      InstPtr tree = ast::copy(&arena.nodes(), message);
+      ASSERT_TRUE(canonicalize(p.original(), *tree, nullptr, &arena.scopes(),
+                               &arena.derive())
+                      .ok());
+      Rng rng(msg_seed);
+      ASSERT_TRUE(forward_all(tree, p.journal(), rng, &arena.nodes()).ok());
+      ASSERT_TRUE(fix_holders(p.wire_graph(), p.journal(), table, *tree,
+                              msg_seed, &arena.nodes(), &arena.scopes(),
+                              &arena.derive())
+                      .ok());
+      const InstPtr fixed = ast::copy(nullptr, *tree);
+      ASSERT_TRUE(fix_holders(p.wire_graph(), p.journal(), table, *tree,
+                              msg_seed, &arena.nodes(), &arena.scopes(),
+                              &arena.derive())
+                      .ok());
+      EXPECT_TRUE(ast::equal(*tree, *fixed))
+          << "per_node " << per_node << ", message " << i;
+    }
   }
 }
 

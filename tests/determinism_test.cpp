@@ -165,6 +165,59 @@ TEST(Determinism, IdentityWireGolden) {
   EXPECT_EQ(to_hex(wire), "00080203100010011002");
 }
 
+/// FNV-1a 64-bit over `bytes`, continuing from `h`.
+std::uint64_t fnv1a64(std::uint64_t h, BytesView bytes) {
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The obfuscated wire image is pinned too: a digest over the bytes of fixed
+// HTTP and Modbus requests and responses, at two obfuscation levels and
+// three msg_seeds each. Size-only checks (the benches' checksum lines) miss
+// a changed holder-rebuild decision that moves split halves or pad bytes
+// but no lengths; this digest does not.
+TEST(Determinism, ObfuscatedWireGolden) {
+  const std::vector<std::pair<std::string, std::string>> headers = {
+      {"Host", "plc.example"}, {"Accept", "*/*"}, {"X-Trace", "7f3a"}};
+  const std::uint16_t regs[] = {0x0102, 0x0304, 0x0506};
+
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  std::size_t total = 0;
+  const auto absorb = [&](std::string_view spec, int per_node, auto make) {
+    ObfuscationConfig cfg;
+    cfg.seed = 2018;
+    cfg.per_node = per_node;
+    auto g = Framework::load_spec(spec).value();
+    auto protocol = Framework::generate(g, cfg).value();
+    Message msg = make(protocol.original());
+    for (const std::uint64_t msg_seed : {1ull, 2ull, 0x5eedull}) {
+      auto wire = protocol.serialize(msg.root(), msg_seed);
+      ASSERT_TRUE(wire.ok()) << wire.error().message;
+      digest = fnv1a64(digest, *wire);
+      total += wire->size();
+    }
+  };
+  for (const int per_node : {2, 4}) {
+    absorb(http::request_spec(), per_node, [&](const Graph& g) {
+      return http::make_post(g, "/api/v1/coils", headers, "unit=17&value=1");
+    });
+    absorb(http::response_spec(), per_node, [&](const Graph& g) {
+      return http::make_response(g, 200, "OK", headers, "{\"ok\":true}");
+    });
+    absorb(modbus::request_spec(), per_node, [&](const Graph& g) {
+      return modbus::make_write_registers(g, 0x0102, 0x11, 0x0040, regs);
+    });
+    absorb(modbus::response_spec(), per_node, [&](const Graph& g) {
+      return modbus::make_read_holding_response(g, 0x0102, 0x11, regs);
+    });
+  }
+  EXPECT_EQ(total, 4143u);
+  EXPECT_EQ(digest, 0x1317a67c29b9893dull);
+}
+
 // Wire bytes for the obfuscated protocol differ across msg_seeds when any
 // randomized transformation is present — determinism must not collapse the
 // per-message randomness.

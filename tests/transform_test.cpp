@@ -7,7 +7,11 @@
 #include <map>
 
 #include "ast/ast.hpp"
+#include "core/protoobf.hpp"
 #include "graph/validate.hpp"
+#include "protocols/http.hpp"
+#include "protocols/modbus.hpp"
+#include "runtime/derive.hpp"
 #include "spec/parser.hpp"
 #include "transform/apply.hpp"
 #include "transform/constraints.hpp"
@@ -390,6 +394,73 @@ m: seq end {
   ASSERT_EQ(table.holders.size(), 1u);
   EXPECT_EQ(table.holders[0].origin, journal[0].created_a);
   EXPECT_TRUE(table.holders[0].chain.empty());
+}
+
+// Inverting only a holder's lineage chain recovers exactly what inverting
+// the whole journal over its subtree does: the holder fixpoint and the wire
+// parser rely on it. Checked on every holder-top instance of real
+// serialize-side wire trees (canonicalize, forward_all, fix_holders) for
+// HTTP and Modbus requests and responses across obfuscation levels.
+TEST(Lineage, ChainInversionMatchesWholeJournalInversion) {
+  using MakeFn = Message (*)(const Graph&, Rng&);
+  const std::pair<std::string_view, MakeFn> protocols[] = {
+      {http::request_spec(), http::random_request},
+      {http::response_spec(), http::random_response},
+      {modbus::request_spec(), modbus::random_request},
+      {modbus::response_spec(), modbus::random_response},
+  };
+  std::size_t compared = 0;
+  std::size_t with_chain = 0;
+  for (const auto& [spec_text, make] : protocols) {
+    const Graph g1 = spec(spec_text);
+    for (int per_node = 0; per_node <= 4; ++per_node) {
+      for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        ObfuscationConfig cfg;
+        cfg.seed = seed;
+        cfg.per_node = per_node;
+        auto protocol = Framework::generate(g1, cfg);
+        ASSERT_TRUE(protocol.ok()) << protocol.error().message;
+        const Journal& journal = protocol->journal();
+        const HolderTable table =
+            build_holder_table(protocol->original(), journal);
+        Rng rng(seed * 31 + static_cast<std::uint64_t>(per_node));
+        for (int m = 0; m < 10; ++m) {
+          Message msg = make(protocol->original(), rng);
+          const std::uint64_t msg_seed = rng.next_u64();
+          InstPtr tree = ast::copy(nullptr, msg.root());
+          Status s = canonicalize(protocol->original(), *tree);
+          ASSERT_TRUE(s.ok()) << s.error().message;
+          Rng forward(msg_seed);
+          s = forward_all(tree, journal, forward);
+          ASSERT_TRUE(s.ok()) << s.error().message;
+          s = fix_holders(protocol->wire_graph(), journal, table, *tree,
+                          msg_seed);
+          ASSERT_TRUE(s.ok()) << s.error().message;
+          const auto visit = [&](const auto& self, const Inst& inst) -> void {
+            if (const HolderInfo* info = table.find_by_top(inst.schema)) {
+              auto chain = invert_chain(inst, journal, info->chain);
+              auto whole = invert_clone(inst, journal);
+              ASSERT_EQ(chain.ok(), whole.ok());
+              if (chain.ok()) {
+                EXPECT_TRUE(ast::equal(**chain, **whole))
+                    << spec_text.substr(0, 40) << " per_node " << per_node
+                    << " seed " << seed;
+              } else {
+                EXPECT_EQ(chain.error().message, whole.error().message);
+              }
+              ++compared;
+              if (!info->chain.empty()) ++with_chain;
+            }
+            for (const InstPtr& child : inst.children) self(self, *child);
+          };
+          visit(visit, *tree);
+        }
+      }
+    }
+  }
+  // The sweep must reach transformed holders, not only plain ones.
+  EXPECT_GT(compared, 10000u);
+  EXPECT_GT(with_chain, 5000u);
 }
 
 // --- engine ------------------------------------------------------------------

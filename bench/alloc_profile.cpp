@@ -2,19 +2,21 @@
 // for serialize and parse, plain ObfuscatedProtocol calls vs. the pooled
 // Session paths, plus a per-stage time table of the plain pipelines.
 //
-// The point of the InstPool/arena work is that a steady-state session
-// performs O(1) heap allocations per message where the plain paths pay
-// O(nodes): one Inst plus one Bytes per tree node, per message, per
-// direction. This bench counts real allocations with a global operator-new
-// hook, after a warm-up that grows every pool to its high-water mark, and
-// writes BENCH_alloc.json so CI can archive the trajectory.
+// Both paths run on a Workspace — the plain calls on a thread-local one,
+// Session on its own — so a steady state performs O(1) heap allocations
+// per message instead of O(nodes). The plain paths additionally copy their
+// result out of the workspace: the wire image once, the parsed tree into
+// heap nodes (O(logical nodes)). This bench counts real allocations with a
+// global operator-new hook, after a warm-up that grows every pool to its
+// high-water mark, and writes BENCH_alloc.json so CI can archive the
+// trajectory.
 //
 // The stage table replays the plain serialize and parse pipelines stage by
-// stage through the same public calls ObfuscatedProtocol makes, and prints
-// the sum of the stages next to the end-to-end plain serialize+parse time
-// of the same messages, so a change in end-to-end time can be traced to
-// the layer that produced it. Each stage and the end-to-end time keep their
-// best of `repeats` passes.
+// stage through the same public calls ObfuscatedProtocol makes, on one
+// Workspace of its own, and prints the sum of the stages next to the
+// end-to-end plain serialize+parse time of the same messages, so a change
+// in end-to-end time can be traced to the layer that produced it. Each
+// stage and the end-to-end time keep their best of `repeats` passes.
 //
 // Usage: bench_alloc_profile [messages] [repeats] [per_node] [json_path]
 #include <algorithm>
@@ -31,6 +33,7 @@
 #include "runtime/derive.hpp"
 #include "runtime/emit.hpp"
 #include "runtime/parse.hpp"
+#include "runtime/workspace.hpp"
 #include "session/protocol_cache.hpp"
 #include "session/session.hpp"
 #include "transform/exec.hpp"
@@ -105,12 +108,13 @@ enum Stage {
   kParseWire,
   kInverse,
   kCanonicalChecks,
+  kResultCopy,
   kStages
 };
 
 constexpr const char* kStageNames[kStages] = {
-    "copy+check", "canonicalize", "forward_all",  "fix_holders",
-    "emit",       "parse_wire",   "inverse_all",  "canonical checks"};
+    "copy+check", "canonicalize", "forward_all",      "fix_holders", "emit",
+    "parse_wire", "inverse_all",  "canonical checks", "result copy"};
 
 using Clock = std::chrono::steady_clock;
 
@@ -121,15 +125,15 @@ struct PassNs {
 };
 
 /// One pass over `msgs`. Each message first runs the plain pipelines stage
-/// by stage, with the calls ObfuscatedProtocol::serialize_into and
-/// parse_impl make when given no pool, scope table or scratch (each tree is
-/// freed inside the stage that ends its use), then once more end to end
-/// through plain serialize and parse. Timing both per message puts them
-/// under the same host conditions. False on any failure, or when the
-/// replayed stages emit other bytes than serialize.
+/// by stage on `ws`, with the calls plain ObfuscatedProtocol::serialize
+/// and parse make on their thread-local workspace (each tree is freed
+/// inside the stage that ends its use), then once more end to end through
+/// plain serialize and parse. Timing both per message puts them under the
+/// same host conditions. False on any failure, or when the replayed stages
+/// emit other bytes than serialize.
 bool time_pass(const ObfuscatedProtocol& protocol, const HolderTable& holders,
                const std::vector<NodeId>& canon_holders,
-               const std::vector<Message>& msgs, PassNs& ns) {
+               const std::vector<Message>& msgs, Workspace& ws, PassNs& ns) {
   const Graph& g1 = protocol.original();
   const Graph& wire = protocol.wire_graph();
   const Journal& journal = protocol.journal();
@@ -145,35 +149,40 @@ bool time_pass(const ObfuscatedProtocol& protocol, const HolderTable& holders,
     };
 
     if (!ast::check(g1, msgs[i].root())) return false;
-    InstPtr tree = ast::copy(nullptr, msgs[i].root());
+    InstPtr tree = ast::copy(&ws.nodes(), msgs[i].root());
     lap(ns.stage[kCopyCheck]);
-    if (!canonicalize(g1, *tree, &canon_holders) ||
-        !check_presence(g1, *tree)) {
+    if (!canonicalize(g1, *tree, canon_holders, ws) ||
+        !check_presence(g1, *tree, ws)) {
       return false;
     }
     lap(ns.stage[kCanonicalize]);
     Rng rng(msg_seed);
-    if (!forward_all(tree, journal, rng)) return false;
+    if (!forward_all(tree, journal, rng, &ws.nodes())) return false;
     lap(ns.stage[kForward]);
-    if (!fix_holders(wire, journal, holders, *tree, msg_seed)) return false;
+    if (!fix_holders(wire, journal, holders, *tree, msg_seed, ws)) {
+      return false;
+    }
     lap(ns.stage[kFixHolders]);
-    Bytes out;
-    if (!emit_into(wire, *tree, out)) return false;
+    if (!emit_into(wire, *tree, ws.wire())) return false;
+    const Bytes out(ws.wire());
     tree.reset();
     lap(ns.stage[kEmit]);
 
-    auto parsed = parse_wire(wire, journal, holders, out);
+    auto parsed = parse_wire(wire, journal, holders, out, ws);
     if (!parsed) return false;
     lap(ns.stage[kParseWire]);
-    if (!inverse_all(*parsed, journal)) return false;
+    if (!inverse_all(*parsed, journal, &ws.nodes())) return false;
     lap(ns.stage[kInverse]);
     if (!fill_consts(g1, **parsed) ||
-        !canonicalize(g1, **parsed, &canon_holders) ||
+        !canonicalize(g1, **parsed, canon_holders, ws) ||
         !ast::check(g1, **parsed)) {
       return false;
     }
-    parsed->reset();
     lap(ns.stage[kCanonicalChecks]);
+    InstPtr result = ast::copy(nullptr, **parsed);
+    parsed->reset();
+    result.reset();
+    lap(ns.stage[kResultCopy]);
 
     auto image = protocol.serialize(msgs[i].root(), msg_seed);
     if (!image || !protocol.parse(*image)) return false;
@@ -240,15 +249,17 @@ int main(int argc, char** argv) {
   }
   tree_nodes /= static_cast<double>(messages);
 
-  // Warm-up: two full rounds grow the arena buffers, the node pool and the
-  // Bytes capacities inside recycled nodes to their high-water marks.
+  // Warm-up: two full rounds grow the workspace buffers (the session's and
+  // this thread's), the node pools and the Bytes capacities inside recycled
+  // nodes to their high-water marks.
   for (int r = 0; r < 2; ++r) {
     for (std::size_t i = 0; i < messages; ++i) {
       (void)session.serialize(msgs[i].root(), msg_seed_of(i));
       auto tree = session.parse(wires[i]);
-      if (!tree) {
+      auto plain = protocol.parse(wires[i]);
+      if (!tree || !plain) {
         std::fprintf(stderr, "parse failed: %s\n",
-                     tree.error().message.c_str());
+                     (tree ? plain : tree).error().message.c_str());
         return 1;
       }
     }
@@ -282,12 +293,13 @@ int main(int argc, char** argv) {
       build_holder_table(protocol.original(), protocol.journal());
   const std::vector<NodeId> canon_holders =
       canonical_holder_ids(protocol.original());
+  Workspace stage_ws;
   PassNs best;
   best.stage.fill(std::numeric_limits<double>::infinity());
   best.end_to_end = std::numeric_limits<double>::infinity();
   for (int r = 0; r < repeats; ++r) {
     PassNs pass;
-    if (!time_pass(protocol, holders, canon_holders, msgs, pass)) {
+    if (!time_pass(protocol, holders, canon_holders, msgs, stage_ws, pass)) {
       std::fprintf(stderr, "stage replay failed or disagreed\n");
       return 1;
     }
@@ -305,7 +317,7 @@ int main(int argc, char** argv) {
   }
   const double e2e_us = best.end_to_end * per_msg_us;
 
-  const InstPool::Stats pool = session.arena().nodes().stats();
+  const InstPool::Stats pool = session.workspace().nodes().stats();
 
   std::printf("alloc_profile — %s, per_node=%d, %zu msgs x %d repeats, "
               "%.1f logical nodes/msg\n",

@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
     r.totals = runner.totals();
     r.resumed = runner.resume_stats().resumed;
     r.suspensions = runner.resume_stats().suspensions;
-    r.slabs = runner.arena().nodes().stats().slabs;
+    r.slabs = runner.workspace().nodes().stats().slabs;
     results.push_back(r);
   }
 

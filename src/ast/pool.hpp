@@ -16,13 +16,13 @@
 // every existing InstPtr call site keeps working and pooling is opt-in
 // per allocation site.
 //
-// Lifetime contract: the pool must outlive the trees drawn from it (the
-// session arena owns the pool; trees returned by Session::parse follow the
-// arena's lifetime). If a pool is destroyed while nodes are still live,
+// Lifetime contract: the pool must outlive the trees drawn from it (a
+// Workspace owns the pool; trees returned by Session::parse follow the
+// session's lifetime). If a pool is destroyed while nodes are still live,
 // it detaches them and leaks its slabs instead of freeing memory under
 // the survivors' feet — a diagnosable leak, never a use-after-free.
 //
-// Not thread-safe: one pool per thread of control, like the arena that
+// Not thread-safe: one pool per thread of control, like the workspace that
 // owns it.
 #pragma once
 

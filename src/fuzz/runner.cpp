@@ -39,8 +39,7 @@ FuzzRunner::FuzzRunner(const ObfuscatedProtocol& protocol, Config config)
 FuzzRunner::Attempt FuzzRunner::parse_full(BytesView wire) {
   Attempt a;
   if (config_.whole_message) {
-    auto tree = protocol_->parse(wire, &arena_.scratch(), &arena_.scopes(),
-                                 &arena_.nodes(), &arena_.derive());
+    auto tree = protocol_->parse(wire, workspace_);
     if (tree.ok()) {
       a.verdict.kind = Verdict::Kind::Parsed;
       a.verdict.consumed = wire.size();
@@ -51,10 +50,7 @@ FuzzRunner::Attempt FuzzRunner::parse_full(BytesView wire) {
     return a;
   }
   std::size_t consumed = 0;
-  auto tree =
-      protocol_->parse_prefix(wire, &consumed, &arena_.scratch(),
-                              &arena_.scopes(), &arena_.nodes(),
-                              &arena_.derive(), /*resume=*/nullptr);
+  auto tree = protocol_->parse_prefix(wire, &consumed, workspace_);
   if (tree.ok()) {
     a.verdict.kind = Verdict::Kind::Parsed;
     a.verdict.consumed = consumed;
@@ -80,9 +76,8 @@ FuzzRunner::Attempt FuzzRunner::replay_chunked(BytesView wire, Rng& chunks) {
                            : chunks.between(1, config_.max_chunk);
     fed = std::min(wire.size(), fed + step);
     std::size_t consumed = 0;
-    auto tree = protocol_->parse_prefix(
-        wire.first(fed), &consumed, &arena_.scratch(), &arena_.scopes(),
-        &arena_.nodes(), &arena_.derive(), &resume_);
+    auto tree = protocol_->parse_prefix(wire.first(fed), &consumed,
+                                        workspace_, &resume_);
     if (tree.ok()) {
       a.verdict.kind = Verdict::Kind::Parsed;
       a.verdict.consumed = consumed;
@@ -119,7 +114,7 @@ Verdict FuzzRunner::resumed_replay(BytesView wire, Rng& chunks) {
 
 std::string FuzzRunner::check(BytesView wire, Rng& chunks) {
   ++totals_.inputs;
-  const std::size_t live_before = arena_.nodes().stats().live;
+  const std::size_t live_before = workspace_.nodes().stats().live;
   std::string violation;
 
   {
@@ -158,10 +153,9 @@ std::string FuzzRunner::check(BytesView wire, Rng& chunks) {
     }
   }  // trees drop here, recycling their nodes
 
-  if (violation.empty() &&
-      arena_.nodes().stats().live != live_before) {
-    violation = "parse leaked " +
-                std::to_string(arena_.nodes().stats().live - live_before) +
+  const std::size_t live_after = workspace_.nodes().stats().live;
+  if (violation.empty() && live_after != live_before) {
+    violation = "parse leaked " + std::to_string(live_after - live_before) +
                 " pooled nodes";
   }
   if (!violation.empty()) {

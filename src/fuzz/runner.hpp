@@ -6,9 +6,9 @@
 //   1. no crash — trivially, by running;
 //   2. no hang — a per-input deadline is checked between parse attempts
 //      (a wedged single attempt is caught by the test-level timeout);
-//   3. bounded memory — trees drop back into the runner's arena pool after
-//      every input (live-node count returns to zero), and slab growth over
-//      a whole campaign stays flat instead of tracking the input count;
+//   3. bounded memory — trees drop back into the runner's workspace pool
+//      after every input (live-node count returns to zero), and slab growth
+//      over a whole campaign stays flat instead of tracking the input count;
 //   4. correct taxonomy, stable across delivery — the verdict (Parsed /
 //      Truncated / Malformed, plus the consumed count and the tree itself)
 //      of a one-shot parse of the full buffer must equal the verdict of
@@ -21,7 +21,7 @@
 // verdict: a taxonomy violation on a lint-clean spec means either the
 // runtime or the analyzer is wrong — the static/dynamic cross-oracle.
 //
-// The runner owns one SessionArena and one ParseResume and reuses them
+// The runner owns one Workspace and one ParseResume and reuses them
 // across inputs — exactly the shape of a long-lived connection fed by an
 // adversary, which is the scenario under test.
 #pragma once
@@ -33,7 +33,7 @@
 #include "analysis/analyzer.hpp"
 #include "runtime/protocol.hpp"
 #include "runtime/resume.hpp"
-#include "session/arena.hpp"
+#include "runtime/workspace.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -94,7 +94,7 @@ class FuzzRunner {
   const Totals& totals() const { return totals_; }
 
   const ParseResume::Stats& resume_stats() const { return resume_.stats(); }
-  SessionArena& arena() { return arena_; }
+  Workspace& workspace() { return workspace_; }
   const ObfuscatedProtocol& protocol() const { return *protocol_; }
 
   /// The static analyzer's verdict on the protocol under test, computed
@@ -105,7 +105,7 @@ class FuzzRunner {
  private:
   struct Attempt {
     Verdict verdict;
-    InstPtr tree;  // Parsed only; drawn from arena_'s pool
+    InstPtr tree;  // Parsed only; drawn from workspace_'s pool
   };
 
   Attempt parse_full(BytesView wire);
@@ -113,7 +113,7 @@ class FuzzRunner {
 
   const ObfuscatedProtocol* protocol_;
   Config config_;
-  SessionArena arena_;
+  Workspace workspace_;
   ParseResume resume_;  // reused across replays; invalidated between inputs
   analysis::Report lint_;
   Totals totals_;

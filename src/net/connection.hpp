@@ -1,7 +1,7 @@
 // One obfuscated TCP connection: socket ↔ Channel glue.
 //
 // A Connection binds a nonblocking socket to its own Session (per-connection
-// arenas and node pool), its own Framer (per-connection decode state), and a
+// workspaces), its own Framer (per-connection decode state), and a
 // Channel on top of both. It adds what real sockets force on the streaming
 // API and an in-memory byte stream never shows:
 //
@@ -186,7 +186,7 @@ class Connection {
   obs::NetMetrics& metrics_;
   std::uint64_t trace_id_;
   bool counted_active_ = false;  // active gauge incremented, not yet undone
-  Session session_;                 // per-connection arenas + node pool
+  Session session_;                 // per-connection workspaces
   std::unique_ptr<Framer> framer_;  // per-connection decode state
   Channel channel_;
 

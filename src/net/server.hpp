@@ -2,7 +2,7 @@
 //
 // The Server is the end of the road the repo has been building toward: the
 // compiled protocol is shared (one ProtocolCache entry), but every accepted
-// connection gets its own Session (arenas, node pool) and its own Framer
+// connection gets its own Session (workspaces) and its own Framer
 // from a pluggable factory — per-connection decode state, as the streaming
 // layer requires. Two sharding modes:
 //

@@ -2,6 +2,7 @@
 
 #include "runtime/emit.hpp"
 #include "runtime/scope.hpp"
+#include "runtime/workspace.hpp"
 #include "transform/exec.hpp"
 #include "util/rng.hpp"
 
@@ -41,10 +42,10 @@ Status encode_holder_into(Bytes& out, const Graph& graph, NodeId holder,
 /// Collects (holder, measured) pairs in parse order against `graph` into
 /// `pairs` (cleared first, capacity reused across fixpoint iterations).
 Status collect_pairs(const Graph& graph, Inst& root,
-                     std::vector<DeriveRef>& pairs, ScopeChain* scopes) {
+                     std::vector<DeriveRef>& pairs, ScopeChain& scopes) {
   pairs.clear();
   // One right-sized allocation instead of a doubling climb on the first
-  // call (arena-held scratch keeps the capacity across messages).
+  // call (workspace-held scratch keeps the capacity across messages).
   if (pairs.capacity() == 0) pairs.reserve(16);
   return walk_scoped(
       graph, root,
@@ -101,7 +102,7 @@ Status fill_consts(const Graph& graph, Inst& root) {
   return Status::success();
 }
 
-Status check_presence(const Graph& graph, Inst& root, ScopeChain* scopes) {
+Status check_presence(const Graph& graph, Inst& root, Workspace& ws) {
   return walk_scoped(
       graph, root,
       [&](Inst& inst, ScopeChain& chain) -> Status {
@@ -124,7 +125,7 @@ Status check_presence(const Graph& graph, Inst& root, ScopeChain* scopes) {
         }
         return Status::success();
       },
-      scopes);
+      ws.scopes());
 }
 
 std::vector<NodeId> canonical_holder_ids(const Graph& g1) {
@@ -139,31 +140,23 @@ std::vector<NodeId> canonical_holder_ids(const Graph& g1) {
 }
 
 Status canonicalize(const Graph& g1, Inst& root,
-                    const std::vector<NodeId>* holder_ids,
-                    ScopeChain* scopes, DeriveScratch* scratch) {
+                    const std::vector<NodeId>& holder_ids, Workspace& ws) {
   if (Status s = fill_consts(g1, root); !s) return s;
 
-  std::vector<NodeId> local_holders;
-  if (holder_ids == nullptr) {
-    local_holders = canonical_holder_ids(g1);
-    holder_ids = &local_holders;
-  }
-
-  DeriveScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
-  Bytes& encoded = scratch->encoded;
-  std::vector<Inst*>& matches = scratch->matches;
-  std::vector<DeriveRef>& pairs = scratch->pairs;
+  DeriveScratch& scratch = ws.derive();
+  Bytes& encoded = scratch.encoded;
+  std::vector<Inst*>& matches = scratch.matches;
+  std::vector<DeriveRef>& pairs = scratch.pairs;
 
   // Width-correct placeholders so intermediate measurements succeed.
-  for (NodeId holder : *holder_ids) {
+  for (NodeId holder : holder_ids) {
     if (Status s = encode_holder_into(encoded, g1, holder, 0); !s) return s;
     ast::find_all_schema(root, holder, matches);
     for (Inst* inst : matches) inst->value = encoded;
   }
 
   for (int iter = 0; iter < kMaxFixpointIterations; ++iter) {
-    if (Status s = collect_pairs(g1, root, pairs, scopes); !s) return s;
+    if (Status s = collect_pairs(g1, root, pairs, ws.scopes()); !s) return s;
     bool changed = false;
     for (const DeriveRef& pair : pairs) {
       std::uint64_t value = 0;
@@ -191,15 +184,14 @@ Status canonicalize(const Graph& g1, Inst& root,
 
 Status fix_holders(const Graph& wire, const Journal& journal,
                    const HolderTable& table, Inst& root,
-                   std::uint64_t msg_seed, InstPool* pool,
-                   ScopeChain* scopes, DeriveScratch* scratch) {
-  DeriveScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
-  Bytes& encoded = scratch->encoded;
-  std::vector<DeriveRef>& pairs = scratch->pairs;
-  scratch->memo_size = 0;  // memo entries describe this call's tree only
+                   std::uint64_t msg_seed, Workspace& ws) {
+  DeriveScratch& scratch = ws.derive();
+  InstPool* pool = &ws.nodes();
+  Bytes& encoded = scratch.encoded;
+  std::vector<DeriveRef>& pairs = scratch.pairs;
+  scratch.memo_size = 0;  // memo entries describe this call's tree only
   for (int iter = 0; iter < kMaxFixpointIterations; ++iter) {
-    if (Status s = collect_pairs(wire, root, pairs, scopes); !s) return s;
+    if (Status s = collect_pairs(wire, root, pairs, ws.scopes()); !s) return s;
     bool changed = false;
     for (std::size_t k = 0; k < pairs.size(); ++k) {
       const DeriveRef& pair = pairs[k];
@@ -227,7 +219,7 @@ Status fix_holders(const Graph& wire, const Journal& journal,
       HolderMemo* memo = nullptr;
       const Bytes* current = &pair.holder->value;
       if (!info->chain.empty()) {
-        memo = &memo_of(*scratch, pair.holder);
+        memo = &memo_of(scratch, pair.holder);
         if (!memo->known) {
           auto logical = invert_chain(*pair.holder, journal, info->chain, pool);
           if (logical && (*logical)->schema == info->origin) {

@@ -28,12 +28,13 @@
 
 #include "ast/ast.hpp"
 #include "graph/graph.hpp"
-#include "runtime/scope.hpp"
 #include "transform/lineage.hpp"
 #include "util/bytes.hpp"
 #include "util/result.hpp"
 
 namespace protoobf {
+
+class Workspace;
 
 /// One (holder, measured) pair of a derive fixpoint: the instance carrying
 /// a derived value and the instance whose emitted size (Length) or element
@@ -53,12 +54,9 @@ struct HolderMemo {
   bool known = false;
 };
 
-/// Reusable scratch for the derive fixpoints. These vectors used to be
-/// function-local in canonicalize()/fix_holders() — the last O(1)-but-real
-/// allocations on the session hot path (ROADMAP "residual per-message
-/// allocations"). An arena-held bundle keeps their capacity across
-/// messages, so the steady state re-derives without touching the heap.
-/// Not thread-safe: one bundle per thread of control, like the arena.
+/// Reusable scratch for the derive fixpoints, held by a Workspace so the
+/// steady state re-derives without touching the heap. Not thread-safe: one
+/// bundle per thread of control, like the workspace.
 struct DeriveScratch {
   std::vector<DeriveRef> pairs;  // fixpoint work list
   std::vector<Inst*> matches;    // canonicalize() placeholder targets
@@ -74,10 +72,8 @@ struct DeriveScratch {
 Status fill_consts(const Graph& graph, Inst& root);
 
 /// Verifies every Optional's presence flag matches its condition evaluated
-/// on the (logical, canonicalized) tree. `scopes`, when given, supplies a
-/// reusable reference-scope table (reset first).
-Status check_presence(const Graph& graph, Inst& root,
-                      ScopeChain* scopes = nullptr);
+/// on the (logical, canonicalized) tree.
+Status check_presence(const Graph& graph, Inst& root, Workspace& ws);
 
 /// The holder terminals (length/count targets) canonicalize seeds with
 /// width-correct placeholders, in DFS order. Depends only on the graph, so
@@ -87,24 +83,19 @@ std::vector<NodeId> canonical_holder_ids(const Graph& g1);
 
 /// Logical derivation: consts + length/count holders per G1 semantics.
 /// Size measurements run through the counting emitter, so no intermediate
-/// buffer is ever materialized. `holder_ids`, when given, must equal
-/// canonical_holder_ids(g1) (it is recomputed when null); `scopes` is a
-/// reusable scope table for the fixpoint walks and `scratch` a reusable
-/// bundle for their work vectors (locals are used when null).
+/// buffer is ever materialized. `holder_ids` must equal
+/// canonical_holder_ids(g1); the fixpoint walks and work vectors run on
+/// `ws`'s scope table and derive scratch.
 Status canonicalize(const Graph& g1, Inst& root,
-                    const std::vector<NodeId>* holder_ids = nullptr,
-                    ScopeChain* scopes = nullptr,
-                    DeriveScratch* scratch = nullptr);
+                    const std::vector<NodeId>& holder_ids, Workspace& ws);
 
 /// Wire derivation on the transformed tree: recomputes every holder from
 /// the final wire sizes/counts and replays its transformation lineage.
 /// `msg_seed` keeps the replayed randomness deterministic per message;
-/// `pool`, when given, backs the rebuilt holder subtrees so steady-state
-/// sessions rebuild without heap traffic, and `scopes` the fixpoint walks.
+/// `ws`'s node pool backs the inverted and rebuilt holder subtrees, so the
+/// steady state rebuilds without heap traffic.
 Status fix_holders(const Graph& wire, const Journal& journal,
                    const HolderTable& table, Inst& root,
-                   std::uint64_t msg_seed, InstPool* pool = nullptr,
-                   ScopeChain* scopes = nullptr,
-                   DeriveScratch* scratch = nullptr);
+                   std::uint64_t msg_seed, Workspace& ws);
 
 }  // namespace protoobf

@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "runtime/scope.hpp"
+#include "runtime/workspace.hpp"
 #include "transform/exec.hpp"
 
 namespace protoobf {
@@ -26,21 +27,18 @@ struct Reader {
 class WireParser {
  public:
   WireParser(const Graph& wire, const Journal& journal,
-             const HolderTable& table, BufferPool* scratch,
-             ScopeChain* scopes, InstPool* nodes, bool prefix = false,
-             ParseResume* resume = nullptr)
+             const HolderTable& table, Workspace& ws, bool prefix,
+             ParseResume* resume)
       : wire_(wire),
         journal_(journal),
         table_(table),
-        scratch_(scratch),
-        nodes_(nodes),
+        scratch_(ws.scratch()),
+        nodes_(&ws.nodes()),
         prefix_(prefix),
         resume_(resume),
         counting_(resume != nullptr),
         checkpointing_(resume != nullptr && resume->enabled() && prefix),
-        scopes_(resume != nullptr && resume->enabled() && prefix
-                    ? resume->scope_chain()
-                    : (scopes != nullptr ? *scopes : local_scopes_)) {}
+        scopes_(checkpointing_ ? resume->scope_chain() : ws.scopes()) {}
 
   Expected<InstPtr> parse(BytesView data, std::size_t* consumed = nullptr) {
     resuming_ = false;
@@ -316,20 +314,20 @@ class WireParser {
     }
 
     // Mirrored subtree: reverse the region, parse it as a fresh buffer. The
-    // reversed copy comes from the scratch pool when one is attached, so
-    // steady-state sessions reuse its capacity instead of reallocating.
+    // reversed copy comes from the scratch pool, so the steady state reuses
+    // its capacity instead of reallocating.
     if (n.mirrored && !ignore_mirror) {
       if (!region_end) {
         return fail(r, "mirrored node '" + n.name + "' without a region");
       }
-      Bytes temp = scratch_ != nullptr ? scratch_->acquire() : Bytes();
+      Bytes temp = scratch_.acquire();
       assign_reversed(temp, r.data.subspan(r.pos, *region_end - r.pos));
       // The reversed copy is a complete region: its end is hard.
       Reader mirror_reader{temp, 0, temp.size(), /*soft=*/false};
       auto inst = parse_node_impl(id, mirror_reader, /*ignore_mirror=*/true,
                                   nullptr);
       const bool consumed = mirror_reader.pos == mirror_reader.end;
-      if (scratch_ != nullptr) scratch_->release(std::move(temp));
+      scratch_.release(std::move(temp));
       if (!inst) return inst;
       if (!consumed) {
         return fail(r, "mirrored region of '" + n.name +
@@ -536,7 +534,7 @@ class WireParser {
   const Graph& wire_;
   const Journal& journal_;
   const HolderTable& table_;
-  BufferPool* scratch_;
+  BufferPool& scratch_;
   InstPool* nodes_;
   bool prefix_ = false;
   ParseResume* resume_ = nullptr;
@@ -544,7 +542,6 @@ class WireParser {
   bool checkpointing_ = false;  // suspend/resume live for this parse
   bool resuming_ = false;       // descending into a saved spine
   std::size_t depth_ = 0;       // current open-spine depth
-  ScopeChain local_scopes_;
   ScopeChain& scopes_;
 };
 
@@ -552,18 +549,17 @@ class WireParser {
 
 Expected<InstPtr> parse_wire(const Graph& wire, const Journal& journal,
                              const HolderTable& table, BytesView data,
-                             BufferPool* scratch, ScopeChain* scopes,
-                             InstPool* nodes) {
-  return WireParser(wire, journal, table, scratch, scopes, nodes).parse(data);
+                             Workspace& ws) {
+  return WireParser(wire, journal, table, ws, /*prefix=*/false,
+                    /*resume=*/nullptr)
+      .parse(data);
 }
 
 Expected<InstPtr> parse_wire_prefix(const Graph& wire, const Journal& journal,
                                     const HolderTable& table, BytesView data,
-                                    std::size_t* consumed, BufferPool* scratch,
-                                    ScopeChain* scopes, InstPool* nodes,
+                                    std::size_t* consumed, Workspace& ws,
                                     ParseResume* resume) {
-  return WireParser(wire, journal, table, scratch, scopes, nodes,
-                    /*prefix=*/true, resume)
+  return WireParser(wire, journal, table, ws, /*prefix=*/true, resume)
       .parse(data, consumed);
 }
 

@@ -12,33 +12,28 @@
 #pragma once
 
 #include "ast/ast.hpp"
-#include "ast/pool.hpp"
 #include "graph/graph.hpp"
 #include "runtime/resume.hpp"
-#include "runtime/scope.hpp"
 #include "transform/lineage.hpp"
 #include "util/bytes.hpp"
 #include "util/result.hpp"
 
 namespace protoobf {
 
+class Workspace;
+
 /// Parses a complete wire message. Errors carry the wire offset where the
 /// failure was detected. The returned tree instantiates the *final* graph;
 /// run transform/exec.hpp's inverse_all to recover the G1 tree.
 ///
-/// `scratch`, when given, supplies reusable buffers for the reversed copies
-/// of mirrored regions so steady-state parsing stops allocating them, and
-/// `scopes` a reusable scope table (it is reset before use, so stale
-/// entries from a previous message never leak in). `nodes`, when given,
-/// backs every tree node — and every terminal payload, via recycled Bytes
-/// capacity — so a session parses with no heap allocation in steady state;
-/// it must then outlive the returned tree. All must outlive the call and
-/// may be reused across messages.
+/// `ws` supplies the reversed copies of mirrored regions, the scope table
+/// (reset before use, so stale entries from a previous message never leak
+/// in) and the node pool that backs every tree node and terminal payload,
+/// so the steady state parses with no heap allocation. The returned tree
+/// must not outlive `ws`.
 Expected<InstPtr> parse_wire(const Graph& wire, const Journal& journal,
                              const HolderTable& table, BytesView data,
-                             BufferPool* scratch = nullptr,
-                             ScopeChain* scopes = nullptr,
-                             InstPool* nodes = nullptr);
+                             Workspace& ws);
 
 /// Streaming variant: parses exactly one message from the *front* of
 /// `data`, tolerating trailing bytes (the next message's prefix in a byte
@@ -54,19 +49,15 @@ Expected<InstPtr> parse_wire(const Graph& wire, const Journal& journal,
 /// continues from the truncation point instead of byte 0. This is what
 /// keeps delimiter-bounded wire formats at amortized O(1) parse work per
 /// delivered byte under trickled delivery. The caller owns invalidation:
-/// see ParseResume's header for the validity contract. `resume` also
-/// implies `nodes`-style lifetime coupling: suspended partial trees draw
-/// from `nodes`, so the pool must outlive the resume state.
+/// see ParseResume's header for the validity contract. Suspended partial
+/// trees draw from `ws`'s node pool, so `ws` must outlive the resume state.
 ///
 /// Requires a stream-safe wire graph (see stream_safe()): a boundary that
 /// extends "to the end of the input" cannot delimit itself in a stream, and
 /// is reported as malformed here.
 Expected<InstPtr> parse_wire_prefix(const Graph& wire, const Journal& journal,
                                     const HolderTable& table, BytesView data,
-                                    std::size_t* consumed,
-                                    BufferPool* scratch = nullptr,
-                                    ScopeChain* scopes = nullptr,
-                                    InstPool* nodes = nullptr,
+                                    std::size_t* consumed, Workspace& ws,
                                     ParseResume* resume = nullptr);
 
 /// Checks that the wire graph delimits its own messages, i.e. that no node

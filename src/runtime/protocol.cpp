@@ -41,75 +41,82 @@ Expected<ObfuscatedProtocol> ObfuscatedProtocol::from_parts(Graph original,
   return ObfuscatedProtocol(std::move(original), std::move(result));
 }
 
+namespace {
+
+/// The workspace behind the plain entry points: one per thread, created on
+/// first use and kept until the thread exits, so repeated plain calls reuse
+/// capacity up to the thread's largest message.
+Workspace& thread_workspace() {
+  thread_local Workspace ws;
+  return ws;
+}
+
+}  // namespace
+
 Expected<Bytes> ObfuscatedProtocol::serialize(
     const Inst& message, std::uint64_t msg_seed,
     std::vector<FieldSpan>* spans) const {
-  Bytes out;
-  if (Status s = serialize_into(message, msg_seed, out, spans); !s) {
+  Workspace& ws = thread_workspace();
+  if (Status s = serialize_into(message, msg_seed, ws.wire(), ws, spans); !s) {
     return Unexpected(s.error());
   }
-  return out;
+  return Bytes(ws.wire());  // one right-sized copy the caller owns
 }
 
 Status ObfuscatedProtocol::serialize_into(const Inst& message,
                                           std::uint64_t msg_seed, Bytes& out,
-                                          std::vector<FieldSpan>* spans,
-                                          InstPool* nodes,
-                                          ScopeChain* scopes,
-                                          DeriveScratch* derive) const {
+                                          Workspace& ws,
+                                          std::vector<FieldSpan>* spans) const {
   if (Status s = ast::check(original_, message); !s) return s;
   // The caller's tree is read-only; the transformation passes mutate a
-  // workspace copy drawn from the node pool. With a session pool attached
-  // the whole copy lands in recycled nodes and recycled payload capacity —
-  // the clone that used to dominate the serialize path is gone.
-  InstPtr tree = ast::copy(nodes, message);
-  if (Status s = protoobf::canonicalize(original_, *tree, &canon_holders_,
-                                        scopes, derive);
+  // workspace copy drawn from the node pool, so the whole copy lands in
+  // recycled nodes and recycled payload capacity.
+  InstPtr tree = ast::copy(&ws.nodes(), message);
+  if (Status s = protoobf::canonicalize(original_, *tree, canon_holders_, ws);
       !s) {
     return s;
   }
-  if (Status s = check_presence(original_, *tree, scopes); !s) return s;
+  if (Status s = check_presence(original_, *tree, ws); !s) return s;
 
   Rng rng(msg_seed);
-  if (Status s = forward_all(tree, journal_, rng, nodes); !s) return s;
-  if (Status s = fix_holders(wire_, journal_, holders_, *tree, msg_seed,
-                             nodes, scopes, derive);
+  if (Status s = forward_all(tree, journal_, rng, &ws.nodes()); !s) return s;
+  if (Status s = fix_holders(wire_, journal_, holders_, *tree, msg_seed, ws);
       !s) {
     return s;
   }
   return emit_into(wire_, *tree, out, spans);
 }
 
+Expected<InstPtr> ObfuscatedProtocol::parse(BytesView wire) const {
+  auto tree = parse(wire, thread_workspace());
+  if (!tree) return tree;
+  // The pooled tree goes back to this thread's pool; the caller gets a heap
+  // copy it may keep past the thread or hand to another one.
+  return ast::copy(nullptr, **tree);
+}
+
 Expected<InstPtr> ObfuscatedProtocol::parse(BytesView wire,
-                                            BufferPool* scratch,
-                                            ScopeChain* scopes,
-                                            InstPool* nodes,
-                                            DeriveScratch* derive) const {
-  return parse_impl(wire, nullptr, scratch, scopes, nodes, derive, nullptr);
+                                            Workspace& ws) const {
+  return parse_impl(wire, nullptr, ws, nullptr);
 }
 
 Expected<InstPtr> ObfuscatedProtocol::parse_prefix(BytesView buffer,
                                                    std::size_t* consumed,
-                                                   BufferPool* scratch,
-                                                   ScopeChain* scopes,
-                                                   InstPool* nodes,
-                                                   DeriveScratch* derive,
+                                                   Workspace& ws,
                                                    ParseResume* resume) const {
-  return parse_impl(buffer, consumed, scratch, scopes, nodes, derive, resume);
+  return parse_impl(buffer, consumed, ws, resume);
 }
 
-Expected<InstPtr> ObfuscatedProtocol::parse_impl(
-    BytesView wire, std::size_t* consumed, BufferPool* scratch,
-    ScopeChain* scopes, InstPool* nodes, DeriveScratch* derive,
-    ParseResume* resume) const {
+Expected<InstPtr> ObfuscatedProtocol::parse_impl(BytesView wire,
+                                                 std::size_t* consumed,
+                                                 Workspace& ws,
+                                                 ParseResume* resume) const {
   auto tree = consumed == nullptr
-                  ? parse_wire(wire_, journal_, holders_, wire, scratch,
-                               scopes, nodes)
+                  ? parse_wire(wire_, journal_, holders_, wire, ws)
                   : parse_wire_prefix(wire_, journal_, holders_, wire,
-                                      consumed, scratch, scopes, nodes,
-                                      resume);
+                                      consumed, ws, resume);
   if (!tree) return tree;
-  if (Status s = inverse_all(*tree, journal_, nodes); !s) {
+  if (Status s = inverse_all(*tree, journal_, &ws.nodes()); !s) {
     return Unexpected(s.error());
   }
   // fill_consts doubles as an integrity check: a recovered constant field
@@ -118,8 +125,7 @@ Expected<InstPtr> ObfuscatedProtocol::parse_impl(
   if (Status s = fill_consts(original_, **tree); !s) {
     return Unexpected("parsed message rejected: " + s.error().message);
   }
-  if (Status s = protoobf::canonicalize(original_, **tree, &canon_holders_,
-                                        scopes, derive);
+  if (Status s = protoobf::canonicalize(original_, **tree, canon_holders_, ws);
       !s) {
     return Unexpected(s.error());
   }
@@ -130,11 +136,12 @@ Expected<InstPtr> ObfuscatedProtocol::parse_impl(
 }
 
 Status ObfuscatedProtocol::canonicalize(Inst& message) const {
-  if (Status s = protoobf::canonicalize(original_, message, &canon_holders_);
+  Workspace& ws = thread_workspace();
+  if (Status s = protoobf::canonicalize(original_, message, canon_holders_, ws);
       !s) {
     return s;
   }
-  return check_presence(original_, message);
+  return check_presence(original_, message, ws);
 }
 
 }  // namespace protoobf

@@ -19,7 +19,7 @@
 #include "runtime/derive.hpp"
 #include "runtime/emit.hpp"
 #include "runtime/resume.hpp"
-#include "runtime/scope.hpp"
+#include "runtime/workspace.hpp"
 #include "transform/engine.hpp"
 #include "transform/lineage.hpp"
 #include "util/result.hpp"
@@ -46,34 +46,31 @@ class ObfuscatedProtocol {
   /// Serializes a logical message (an instance of G1). `msg_seed` drives the
   /// per-message randomness (split halves, pad bytes): the same message with
   /// a different seed produces a different wire image. Optional `spans`
-  /// receive the ground-truth wire location of every terminal.
+  /// receive the ground-truth wire location of every terminal. Runs
+  /// serialize_into() on the calling thread's own Workspace.
   Expected<Bytes> serialize(const Inst& message, std::uint64_t msg_seed,
                             std::vector<FieldSpan>* spans = nullptr) const;
 
-  /// Allocation-lean variant: serializes into `out`, replacing its contents
-  /// but reusing its capacity. The user's tree is never cloned on the heap:
-  /// the canonicalize/forward-transform passes mutate a workspace copy
-  /// whose nodes come from `nodes` (when given) — the session arena's pool
-  /// — so a steady-state session serializes with O(1) small allocations
-  /// per message (fixpoint-local scratch) instead of O(nodes). Size
-  /// measurement runs through the counting emitter, so no scratch buffer
-  /// is needed anymore; `derive`, when given, backs the derive-fixpoint
-  /// work vectors the same way.
+  /// Serializes into `out`, replacing its contents but reusing its
+  /// capacity. The user's tree is never cloned on the heap: the
+  /// canonicalize/forward-transform passes mutate a workspace copy drawn
+  /// from `ws`'s node pool, and the derive fixpoints run on its scope table
+  /// and scratch, so the steady state serializes with O(1) small
+  /// allocations per message instead of O(nodes).
   Status serialize_into(const Inst& message, std::uint64_t msg_seed,
-                        Bytes& out, std::vector<FieldSpan>* spans = nullptr,
-                        InstPool* nodes = nullptr,
-                        ScopeChain* scopes = nullptr,
-                        DeriveScratch* derive = nullptr) const;
+                        Bytes& out, Workspace& ws,
+                        std::vector<FieldSpan>* spans = nullptr) const;
 
-  /// Parses a wire message back into a canonical logical tree. `scratch`,
-  /// when given, provides reusable buffers for mirrored-region copies;
-  /// `scopes` a reusable reference-scope table; `nodes` a tree-node pool
-  /// backing every instance of the result (which then must not outlive the
-  /// pool); `derive` reusable derive-fixpoint scratch.
-  Expected<InstPtr> parse(BytesView wire, BufferPool* scratch = nullptr,
-                          ScopeChain* scopes = nullptr,
-                          InstPool* nodes = nullptr,
-                          DeriveScratch* derive = nullptr) const;
+  /// Parses a wire message back into a canonical logical tree. Runs
+  /// parse(wire, ws) on the calling thread's own Workspace and returns a
+  /// heap copy of the result, so the tree may outlive the thread and move
+  /// to another one.
+  Expected<InstPtr> parse(BytesView wire) const;
+
+  /// Parses with every instance of the result drawn from `ws`'s node pool:
+  /// the tree must not outlive `ws` and must be dropped on the thread of
+  /// control that owns it.
+  Expected<InstPtr> parse(BytesView wire, Workspace& ws) const;
 
   /// Streaming variant of parse(): reads exactly one message from the front
   /// of `buffer`, tolerating trailing bytes (the next message), and reports
@@ -85,17 +82,15 @@ class ObfuscatedProtocol {
   /// `resume`, when given, suspends a Truncated parse so the next call on
   /// the same buffer front (same bytes, more appended) continues from the
   /// truncation point instead of byte 0 — see parse_wire_prefix and
-  /// ParseResume for the validity contract. Suspended partial trees draw
-  /// from `nodes`, which must outlive `resume`.
+  /// ParseResume for the validity contract. The result and suspended
+  /// partial trees draw from `ws`'s node pool, so `ws` must outlive both.
   Expected<InstPtr> parse_prefix(BytesView buffer, std::size_t* consumed,
-                                 BufferPool* scratch = nullptr,
-                                 ScopeChain* scopes = nullptr,
-                                 InstPool* nodes = nullptr,
-                                 DeriveScratch* derive = nullptr,
+                                 Workspace& ws,
                                  ParseResume* resume = nullptr) const;
 
   /// Fills constants and derived fields of a user-built logical tree so it
-  /// compares equal with parse() results.
+  /// compares equal with parse() results. Runs on the calling thread's own
+  /// Workspace.
   Status canonicalize(Inst& message) const;
 
  private:
@@ -105,9 +100,7 @@ class ObfuscatedProtocol {
   /// whole of `wire` when `consumed` is null, else one message from its
   /// front), inverse transformations, then the canonical-form checks.
   Expected<InstPtr> parse_impl(BytesView wire, std::size_t* consumed,
-                               BufferPool* scratch, ScopeChain* scopes,
-                               InstPool* nodes, DeriveScratch* derive,
-                               ParseResume* resume) const;
+                               Workspace& ws, ParseResume* resume) const;
 
   Graph original_;
   Graph wire_;

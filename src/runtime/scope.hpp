@@ -32,7 +32,7 @@ class ScopeChain {
   /// Opens a scope. Retired scopes keep their entry capacity, so iterating
   /// the elements of a Repetition costs no allocation after the first
   /// element — and none at all when the chain itself is reused across
-  /// messages (session arenas hold one for exactly that).
+  /// messages (every Workspace holds one for exactly that).
   void push() {
     if (depth_ == scopes_.size()) {
       scopes_.emplace_back();
@@ -95,18 +95,13 @@ Status walk_scoped_impl(const Graph& graph, Inst& inst, ScopeChain& scopes,
 /// reached (references to earlier nodes already registered), registration
 /// happens after the subtree completes, element scopes are pushed around
 /// each Repetition/Tabular element. Absent optionals are not descended.
-/// `reuse`, when given, supplies the scope table (reset first) so
-/// per-message callers stop allocating one per walk; a template so the
-/// callable inlines without a std::function box.
+/// `scopes` is reset first, so a per-message caller reuses one table; a
+/// template so the callable inlines without a std::function box.
 template <typename Pre>
 Status walk_scoped(const Graph& graph, Inst& root, Pre&& pre,
-                   ScopeChain* reuse = nullptr) {
-  if (reuse != nullptr) {
-    reuse->reset();
-    return detail::walk_scoped_impl(graph, root, *reuse, pre);
-  }
-  ScopeChain local;
-  return detail::walk_scoped_impl(graph, root, local, pre);
+                   ScopeChain& scopes) {
+  scopes.reset();
+  return detail::walk_scoped_impl(graph, root, scopes, pre);
 }
 
 }  // namespace protoobf

@@ -1,8 +1,8 @@
-#include "session/arena.hpp"
+#include "runtime/workspace.hpp"
 
 namespace protoobf {
 
-void SessionArena::shrink() {
+void Workspace::shrink() {
   wire_ = Bytes();
   frame_ = Bytes();
   scratch_.shrink();

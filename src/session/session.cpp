@@ -45,31 +45,29 @@ Expected<BytesView> Session::serialize(const Inst& message,
   obs::SessionMetrics& m = obs::SessionMetrics::get();
   const std::uint64_t t0 = maybe_start_sample(
       obs::SessionMetrics::Direction::Serialize);
-  wire_hint_.reserve(arena_.wire());
-  if (Status s = protocol_->serialize_into(message, msg_seed, arena_.wire(),
-                                           spans, &arena_.nodes(),
-                                           &arena_.scopes(),
-                                           &arena_.derive());
+  Bytes& wire = workspace_.wire();
+  wire_hint_.reserve(wire);
+  if (Status s = protocol_->serialize_into(message, msg_seed, wire,
+                                           workspace_, spans);
       !s) {
     m.serialize_errors.add(1);
     return Unexpected(s.error());
   }
-  wire_hint_.note(arena_.wire().size());
-  finish_serialize(m, t0, arena_.wire().capacity());
-  return BytesView(arena_.wire());
+  wire_hint_.note(wire.size());
+  finish_serialize(m, t0, wire.capacity());
+  return BytesView(wire);
 }
 
 Expected<InstPtr> Session::parse(BytesView wire) {
   obs::SessionMetrics& m = obs::SessionMetrics::get();
   const std::uint64_t t0 = maybe_start_sample(
       obs::SessionMetrics::Direction::Parse);
-  auto result = protocol_->parse(wire, &arena_.scratch(), &arena_.scopes(),
-                                 &arena_.nodes(), &arena_.derive());
+  auto result = protocol_->parse(wire, workspace_);
   finish_parse(m, t0, static_cast<bool>(result));
   return result;
 }
 
-Expected<Bytes> Session::serialize_one(SessionArena& arena,
+Expected<Bytes> Session::serialize_one(Workspace& ws,
                                        const BatchItem& item) {
   if (item.message == nullptr) {
     return Unexpected("batch item has no message");
@@ -77,20 +75,19 @@ Expected<Bytes> Session::serialize_one(SessionArena& arena,
   obs::SessionMetrics& m = obs::SessionMetrics::get();
   const std::uint64_t t0 = maybe_start_sample(
       obs::SessionMetrics::Direction::Serialize);
-  wire_hint_.reserve(arena.wire());
-  if (Status s = protocol_->serialize_into(*item.message, item.msg_seed,
-                                           arena.wire(), /*spans=*/nullptr,
-                                           &arena.nodes(), &arena.scopes(),
-                                           &arena.derive());
+  Bytes& wire = ws.wire();
+  wire_hint_.reserve(wire);
+  if (Status s = protocol_->serialize_into(*item.message, item.msg_seed, wire,
+                                           ws);
       !s) {
     m.serialize_errors.add(1);
     return Unexpected(s.error());
   }
-  wire_hint_.note(arena.wire().size());
-  finish_serialize(m, t0, arena.wire().capacity());
-  // The arena buffer is reused for the next item; the result is a
+  wire_hint_.note(wire.size());
+  finish_serialize(m, t0, wire.capacity());
+  // The workspace buffer is reused for the next item; the result is a
   // right-sized copy the caller owns.
-  return Bytes(arena.wire());
+  return Bytes(wire);
 }
 
 std::vector<Expected<Bytes>> Session::serialize_batch(
@@ -127,12 +124,11 @@ std::vector<Expected<InstPtr>> Session::parse_batch(
   results.reserve(wires.size());
 
   obs::SessionMetrics& m = obs::SessionMetrics::get();
-  const auto parse_into = [&](SessionArena& arena, BytesView wire,
+  const auto parse_into = [&](Workspace& ws, BytesView wire,
                               Expected<InstPtr>& out) {
     const std::uint64_t t0 =
         maybe_start_sample(obs::SessionMetrics::Direction::Parse);
-    out = protocol_->parse(wire, &arena.scratch(), &arena.scopes(),
-                           &arena.nodes(), &arena.derive());
+    out = protocol_->parse(wire, ws);
     finish_parse(m, t0, static_cast<bool>(out));
   };
 

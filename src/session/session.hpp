@@ -1,10 +1,10 @@
 // Obfuscation session: the per-connection runtime object.
 //
 // A Session binds one compiled protocol version (shared, cache-managed) to
-// per-session serialization state: an arena for the single-message fast
-// path and one arena per batch shard. It is the intended entry point for
-// servers — ProtocolCache amortizes compilation across sessions and version
-// rotations, the arena amortizes buffer allocation across messages, and the
+// per-session serialization state: a Workspace for the single-message path
+// and one per batch shard. It is the intended entry point for servers —
+// ProtocolCache amortizes compilation across sessions and version
+// rotations, the workspaces amortize allocation across messages, and the
 // batch APIs shard independent messages over a WorkerPool.
 //
 // Semantics contract (tests/session_test.cpp): every path produces results
@@ -16,16 +16,47 @@
 // cached protocol and the worker pool — are safe to share across sessions.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "runtime/protocol.hpp"
-#include "session/arena.hpp"
 #include "session/protocol_cache.hpp"
 #include "session/worker_pool.hpp"
 
 namespace protoobf {
+
+/// Cross-workspace EWMA of recently emitted sizes. One buffer's own
+/// capacity already remembers its personal high-water mark, so a
+/// *per-workspace* hint would never reserve anything new; the value of the
+/// hint is sharing it across a session's workspaces — the single-message
+/// path, every batch shard, and the channel frame path — so a cold
+/// workspace's first message reserves the size its siblings established
+/// instead of doubling its way up. Atomic because batch shards note sizes
+/// from worker threads; races just make the hint slightly stale, which is
+/// harmless.
+class SizeHint {
+ public:
+  /// Records an emitted size: rises to a larger size instantly, decays a
+  /// quarter of the gap toward a smaller one — a burst of large messages
+  /// is covered immediately, one small message barely moves the hint.
+  void note(std::size_t size) {
+    const std::size_t prev = hint_.load(std::memory_order_relaxed);
+    const std::size_t next = size >= prev ? size : prev - (prev - size) / 4;
+    hint_.store(next, std::memory_order_relaxed);
+  }
+
+  std::size_t get() const { return hint_.load(std::memory_order_relaxed); }
+
+  /// Pre-sizes `buffer` for the next emission (no-op with no history).
+  void reserve(Bytes& buffer) const { buffer.reserve(get()); }
+
+  void reset() { hint_.store(0, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<std::size_t> hint_{0};
+};
 
 /// One message of a serialization batch. `message` must outlive the call.
 struct BatchItem {
@@ -42,21 +73,22 @@ class Session {
 
   const ObfuscatedProtocol& protocol() const { return *protocol_; }
 
-  /// Serializes through the session arena. The returned view aliases the
-  /// arena and is valid until the next serialize()/serialize_batch() on
-  /// this session; callers that need to keep the bytes copy them.
+  /// Serializes through the session workspace. The returned view aliases
+  /// the workspace and is valid until the next serialize()/
+  /// serialize_batch() on this session; callers that need to keep the
+  /// bytes copy them.
   Expected<BytesView> serialize(const Inst& message, std::uint64_t msg_seed,
                                 std::vector<FieldSpan>* spans = nullptr);
 
-  /// Parses with the arena backing the whole operation: scratch buffers
-  /// for mirrored regions, the scope table, and the node pool every
-  /// instance of the result comes from. Steady state performs O(1) small
-  /// allocations per message (fixpoint-local scratch), never O(nodes).
-  /// Because dropping the returned tree recycles its nodes
-  /// into the arena's pool, the tree must not outlive the session and
-  /// must be destroyed on the session's thread of control — handing a
-  /// tree to another thread requires dropping it back here (or copying
-  /// it). Same rules for parse_batch results.
+  /// Parses with the session workspace backing the whole operation:
+  /// scratch buffers for mirrored regions, the scope table, and the node
+  /// pool every instance of the result comes from. Steady state performs
+  /// O(1) small allocations per message, never O(nodes). Because dropping
+  /// the returned tree recycles its nodes into the workspace's pool, the
+  /// tree must not outlive the session and must be destroyed on the
+  /// session's thread of control — handing a tree to another thread
+  /// requires dropping it back here (or copying it). Same rules for
+  /// parse_batch results.
   Expected<InstPtr> parse(BytesView wire);
 
   /// Serializes every item; result i corresponds to item i and equals what
@@ -68,15 +100,15 @@ class Session {
   /// Parses every wire image; result i equals protocol().parse(wires[i]).
   std::vector<Expected<InstPtr>> parse_batch(std::span<const BytesView> wires);
 
-  /// Arena of batch shard `i` (i < batch_width()), exposed for tests and
-  /// memory accounting.
-  const SessionArena& shard_arena(std::size_t i) const { return shards_[i]; }
+  /// Workspace of batch shard `i` (i < batch_width()), exposed for tests
+  /// and memory accounting.
+  const Workspace& shard_workspace(std::size_t i) const { return shards_[i]; }
   std::size_t batch_width() const { return shards_.size(); }
 
-  /// The single-message-path arena. Channel routes its frame buffer through
-  /// it so streaming reuses the session's capacity; same threading rule as
-  /// the session itself (one thread of control).
-  SessionArena& arena() { return arena_; }
+  /// The single-message-path workspace. Channel routes its frame buffer
+  /// through it so streaming reuses the session's capacity; same threading
+  /// rule as the session itself (one thread of control).
+  Workspace& workspace() { return workspace_; }
 
   /// The worker pool batches shard over, or null when batches run inline.
   WorkerPool* pool() const { return pool_; }
@@ -89,14 +121,14 @@ class Session {
   SizeHint& frame_hint() { return frame_hint_; }
 
  private:
-  Expected<Bytes> serialize_one(SessionArena& arena, const BatchItem& item);
+  Expected<Bytes> serialize_one(Workspace& ws, const BatchItem& item);
 
   std::shared_ptr<const ObfuscatedProtocol> protocol_;
   WorkerPool* pool_;
-  SessionArena arena_;                // single-message fast path
-  std::vector<SessionArena> shards_;  // one per batch shard
-  SizeHint wire_hint_;                // shared across all arenas above
-  SizeHint frame_hint_;               // for the channel framing layer
+  Workspace workspace_;            // single-message path
+  std::vector<Workspace> shards_;  // one per batch shard
+  SizeHint wire_hint_;             // shared across all workspaces above
+  SizeHint frame_hint_;            // for the channel framing layer
 };
 
 }  // namespace protoobf

@@ -36,7 +36,7 @@ class WorkerPool {
 
   /// Runs body(shard, begin, end) over a partition of [0, n) into width()
   /// contiguous shards and blocks until every shard finished. Shard ids are
-  /// dense in [0, width()): use them to index per-shard state (arenas).
+  /// dense in [0, width()): use them to index per-shard state (workspaces).
   /// `body` must not throw and must not re-enter the pool.
   ///
   /// Completion is tracked per call (a stack latch each shard job counts

@@ -1,20 +1,20 @@
 // Channel: the duplex streaming endpoint of the framework.
 //
-// A Channel binds a Session (compiled protocol + arenas + worker pool) to a
-// Framer (boundary codec) and exposes the two operations a TCP server
+// A Channel binds a Session (compiled protocol + workspaces + worker pool) to
+// a Framer (boundary codec) and exposes the two operations a TCP server
 // actually performs: send one logical message as framed bytes, and turn an
 // arbitrary received chunk into zero or more parsed messages. It is the
 // streaming counterpart of Session — same "byte-identical to the plain
 // protocol calls" contract, message boundaries handled for you.
 //
 //   Channel ch(session, framer);
-//   write(fd, ch.send(msg.root(), seed).value());   // framed, arena-backed
+//   write(fd, ch.send(msg.root(), seed).value());   // framed, reused buffer
 //   ...
 //   ch.on_bytes(chunk);                             // any chunking
 //   while (auto m = ch.receive()) consume(**m);     // or ch.drain_batch()
 //
 // Buffer lifetime rules (also in README "Streaming over TCP"): the view
-// send() returns aliases the session arena's frame buffer and is valid
+// send() returns aliases the session workspace's frame buffer and is valid
 // until the next send() on any channel sharing that session; trees from
 // receive()/drain_batch() are owned by the caller but recycle into the
 // session's node pool when dropped — drop them on the session's thread,
@@ -38,9 +38,9 @@ class Channel {
   Channel(Session& session, Framer& framer)
       : session_(session), framer_(framer), reader_(framer) {}
 
-  /// Serializes `message` through the session arena and frames it. The
-  /// returned view aliases the arena's frame buffer — valid until the next
-  /// send(); callers that queue frames copy them.
+  /// Serializes `message` through the session workspace and frames it. The
+  /// returned view aliases the workspace's frame buffer — valid until the
+  /// next send(); callers that queue frames copy them.
   Expected<BytesView> send(const Inst& message, std::uint64_t msg_seed);
 
   /// Feeds bytes received from the transport into the reassembly buffer.

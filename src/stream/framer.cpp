@@ -197,8 +197,7 @@ ObfuscatedFramer::ObfuscatedFramer(
 Status ObfuscatedFramer::encode(BytesView payload, Bytes& out) {
   payload_slot_->value.assign(payload.begin(), payload.end());
   if (Status s = framing_->serialize_into(*skeleton_, rng_.next_u64(), out,
-                                          /*spans=*/nullptr, &nodes_,
-                                          &scopes_, &derive_);
+                                          ws_);
       !s) {
     return s;
   }
@@ -219,11 +218,11 @@ FrameDecode ObfuscatedFramer::decode(BytesView buffer) {
   // The prefix parse runs resumably: a Truncated attempt suspends into
   // resume_ (partial pooled tree, delimiter-scan cursors, scopes) and the
   // next decode() on the grown front continues from the truncation point.
-  // parse_prefix still uses scopes_/derive_ for the post-parse passes only,
-  // so an encode() interleaved with a suspended decode never collides.
+  // parse_prefix uses ws_'s scope table and derive scratch for the
+  // post-parse passes only, so an encode() interleaved with a suspended
+  // decode never collides.
   std::size_t consumed = 0;
-  auto tree = framing_->parse_prefix(buffer, &consumed, &scratch_, &scopes_,
-                                     &nodes_, &derive_, &resume_);
+  auto tree = framing_->parse_prefix(buffer, &consumed, ws_, &resume_);
   if (!tree) {
     const Error& e = tree.error();
     if (e.truncated()) {

@@ -21,10 +21,9 @@
 #include <memory>
 #include <string>
 
-#include "ast/pool.hpp"
 #include "runtime/protocol.hpp"
 #include "runtime/resume.hpp"
-#include "runtime/scope.hpp"
+#include "runtime/workspace.hpp"
 #include "util/bytes.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
@@ -78,7 +77,7 @@ class Framer {
   virtual ~Framer() = default;
 
   /// Replaces `out` with the framed payload, reusing its capacity — callers
-  /// route every frame of a connection through one buffer (session arena).
+  /// route every frame of a connection through one buffer (session workspace).
   virtual Status encode(BytesView payload, Bytes& out) = 0;
 
   /// Examines the front of `buffer`. A returned payload view aliases
@@ -213,12 +212,9 @@ class ObfuscatedFramer final : public Framer {
   Inst* payload_slot_;     // the payload terminal inside skeleton_
   NodeId payload_node_;    // its schema in the original frame graph
   std::size_t min_need_;   // static floor on any frame's wire size
-  BufferPool scratch_;     // mirrored-region buffers
-  ScopeChain scopes_;      // reusable reference-scope table
-  DeriveScratch derive_;   // derive-fixpoint work vectors
-  InstPool nodes_;         // recycles frame trees across encodes/decodes
+  Workspace ws_;           // recycles frame trees across encodes/decodes
   ParseResume resume_;     // suspended prefix parse between NeedMore retries
-                           // (declared after nodes_: partial trees must drop
+                           // (declared after ws_: partial trees must drop
                            // back into the pool before the pool goes away)
   Bytes payload_copy_;     // backs decode() payload views
 };

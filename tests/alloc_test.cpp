@@ -1,12 +1,16 @@
 // Allocation-regression tests for the pooled message hot path.
 //
-// The InstPool/arena work promises that a warmed-up session serializes and
-// parses without growing the node pool (zero freelist misses) while staying
-// byte-identical to the plain ObfuscatedProtocol calls, and that the
-// counting emitter measures exactly what a materializing emission would
-// produce. These tests pin all three properties so a future change cannot
-// silently reintroduce per-message heap churn or divergence.
+// The InstPool/Workspace work promises that a warmed-up session serializes
+// and parses without growing the node pool (zero freelist misses) while
+// staying byte-identical to the plain ObfuscatedProtocol calls, that plain
+// results stay heap-owned although the plain calls run on a thread-local
+// Workspace, and that the counting emitter measures exactly what a
+// materializing emission would produce. These tests pin those properties
+// so a future change cannot silently reintroduce per-message heap churn,
+// divergence or pool-backed plain results.
 #include <gtest/gtest.h>
+
+#include <thread>
 
 #if defined(__SANITIZE_ADDRESS__)
 #define PROTOOBF_TEST_LSAN 1
@@ -38,6 +42,23 @@ ObfuscationConfig config_of(std::uint64_t seed, int per_node) {
 }
 
 std::uint64_t msg_seed_of(std::size_t i) { return 0xa110c + 31ull * i; }
+
+/// True when no node of `inst` came from a pool.
+bool heap_owned(const Inst& inst) {
+  if (inst.pool != nullptr) return false;
+  for (const InstPtr& child : inst.children) {
+    if (!heap_owned(*child)) return false;
+  }
+  return true;
+}
+
+/// `message` with constants and derived fields filled in, as parse()
+/// returns it.
+InstPtr canonical_of(const ObfuscatedProtocol& protocol, const Inst& message) {
+  InstPtr canonical = ast::copy(nullptr, message);
+  EXPECT_TRUE(protocol.canonicalize(*canonical).ok());
+  return canonical;
+}
 
 // --- InstPool mechanics -----------------------------------------------------
 
@@ -140,7 +161,7 @@ TEST_P(AllocSteadyState, WarmSessionHasZeroPoolMisses) {
     }
   }
 
-  const InstPool::Stats warm = session.arena().nodes().stats();
+  const InstPool::Stats warm = session.workspace().nodes().stats();
   EXPECT_EQ(warm.live, 0u);
 
   for (int round = 0; round < 4; ++round) {
@@ -150,7 +171,7 @@ TEST_P(AllocSteadyState, WarmSessionHasZeroPoolMisses) {
     }
   }
 
-  const InstPool::Stats steady = session.arena().nodes().stats();
+  const InstPool::Stats steady = session.workspace().nodes().stats();
   EXPECT_EQ(steady.misses, warm.misses)
       << "steady-state session traffic grew the node pool";
   EXPECT_EQ(steady.slabs, warm.slabs);
@@ -170,22 +191,39 @@ TEST_P(AllocSteadyState, PooledPathsStayByteIdentical) {
   const Graph& g = protocol.original();
   Session session(*entry);
 
+  // Plain calls (this thread's workspace) and Session calls (the session's)
+  // interleave on one thread, in alternating order; every plain tree is
+  // kept to the end, across all later calls of both kinds.
+  std::vector<InstPtr> kept;
+  std::vector<InstPtr> canonical;
   for (std::size_t i = 0; i < 24; ++i) {
     Message msg = http ? http::random_request(g, rng)
                        : modbus::random_request(g, rng);
+    const bool session_first = i % 2 == 1;
+    Expected<BytesView> pooled = Unexpected("not run");
+    if (session_first) pooled = session.serialize(msg.root(), msg_seed_of(i));
     auto plain = protocol.serialize(msg.root(), msg_seed_of(i));
-    auto pooled = session.serialize(msg.root(), msg_seed_of(i));
+    if (!session_first) pooled = session.serialize(msg.root(), msg_seed_of(i));
     ASSERT_TRUE(plain.ok()) << plain.error().message;
     ASSERT_TRUE(pooled.ok()) << pooled.error().message;
     ASSERT_EQ(plain->size(), pooled->size());
     EXPECT_TRUE(std::equal(plain->begin(), plain->end(), pooled->begin()))
         << "message " << i << " diverged between plain and pooled serialize";
 
+    Expected<InstPtr> pooled_tree = Unexpected("not run");
+    if (session_first) pooled_tree = session.parse(*pooled);
     auto plain_tree = protocol.parse(*plain);
-    auto pooled_tree = session.parse(*pooled);
+    if (!session_first) pooled_tree = session.parse(*pooled);
     ASSERT_TRUE(plain_tree.ok()) << plain_tree.error().message;
     ASSERT_TRUE(pooled_tree.ok()) << pooled_tree.error().message;
     EXPECT_TRUE(ast::equal(**plain_tree, **pooled_tree));
+    EXPECT_TRUE(heap_owned(**plain_tree)) << "message " << i;
+    kept.push_back(std::move(*plain_tree));
+    canonical.push_back(canonical_of(protocol, msg.root()));
+  }
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_TRUE(ast::equal(*kept[i], *canonical[i]))
+        << "plain tree " << i << " changed under later calls";
   }
 }
 
@@ -193,6 +231,56 @@ INSTANTIATE_TEST_SUITE_P(Protocols, AllocSteadyState, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Http" : "Modbus";
                          });
+
+// --- plain API on the thread-local workspace --------------------------------
+
+// Plain parse runs on the calling thread's Workspace but returns a heap
+// copy: the tree may outlive that thread and die on another one. A result
+// still drawn from the thread's pool would be detached and leaked when the
+// thread exits (LeakSanitizer) or freed from the wrong thread.
+TEST(PlainApi, ParseResultOutlivesItsThread) {
+  ProtocolCache cache;
+  auto entry = cache.get_or_compile(http::request_spec(), config_of(5, 2));
+  ASSERT_TRUE(entry.ok()) << entry.error().message;
+  const ObfuscatedProtocol& protocol = **entry;
+  Rng rng(3);
+  const Message msg = http::random_request(protocol.original(), rng);
+  const auto wire = protocol.serialize(msg.root(), 9);
+  ASSERT_TRUE(wire.ok()) << wire.error().message;
+
+  Expected<InstPtr> tree = Unexpected("not run");
+  std::thread worker([&] { tree = protocol.parse(*wire); });
+  worker.join();
+
+  ASSERT_TRUE(tree.ok()) << tree.error().message;
+  EXPECT_TRUE(heap_owned(**tree));
+  EXPECT_TRUE(ast::equal(**tree, *canonical_of(protocol, msg.root())));
+  tree = Unexpected("dropped");  // destroyed here, on the main thread
+}
+
+// A plain result does not alias the thread's workspace: 16 more plain
+// serialize/parse calls on the same thread leave it unchanged.
+TEST(PlainApi, ResultSurvivesLaterPlainCalls) {
+  ProtocolCache cache;
+  auto entry = cache.get_or_compile(http::request_spec(), config_of(6, 3));
+  ASSERT_TRUE(entry.ok()) << entry.error().message;
+  const ObfuscatedProtocol& protocol = **entry;
+  Rng rng(4);
+  const Message first = http::random_request(protocol.original(), rng);
+  const auto first_wire = protocol.serialize(first.root(), 1);
+  ASSERT_TRUE(first_wire.ok()) << first_wire.error().message;
+  auto kept = protocol.parse(*first_wire);
+  ASSERT_TRUE(kept.ok()) << kept.error().message;
+
+  for (std::size_t i = 0; i < 16; ++i) {
+    const Message other = http::random_request(protocol.original(), rng);
+    const auto wire = protocol.serialize(other.root(), msg_seed_of(i));
+    ASSERT_TRUE(wire.ok()) << wire.error().message;
+    ASSERT_TRUE(protocol.parse(*wire).ok());
+  }
+  EXPECT_TRUE(heap_owned(**kept));
+  EXPECT_TRUE(ast::equal(**kept, *canonical_of(protocol, first.root())));
+}
 
 // --- counting emitter -------------------------------------------------------
 
@@ -295,7 +383,7 @@ TEST(SizeHint, RisesInstantlyDecaysSlowly) {
   EXPECT_EQ(hint.get(), 6144u);
 }
 
-TEST(SizeHint, SeedsColdArenasFromSiblingTraffic) {
+TEST(SizeHint, SeedsColdWorkspacesFromSiblingTraffic) {
   constexpr std::string_view kVarSpec = R"spec(
 protocol Var
 
@@ -310,13 +398,13 @@ msg: seq end {
 
   Session session(*entry);
 
-  // A large message through the single-message arena establishes the hint.
+  // A large message through the single-message workspace sets the hint.
   Message big((*entry)->original());
   ASSERT_TRUE(big.set("data", Bytes(2000, 0x55)).ok());
   ASSERT_TRUE(session.serialize(big.root(), 1).ok());
   EXPECT_GE(session.wire_hint().get(), 2000u);
 
-  // A small message through the (cold, distinct) batch-shard arena must
+  // A small message through the (cold, distinct) batch-shard workspace must
   // pre-reserve that capacity even though it only emits a few bytes.
   Message small((*entry)->original());
   ASSERT_TRUE(small.set("data", to_bytes("hi")).ok());
@@ -324,7 +412,7 @@ msg: seq end {
   auto results = session.serialize_batch(std::span<const BatchItem>(&item, 1));
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].ok()) << results[0].error().message;
-  EXPECT_GE(session.shard_arena(0).wire().capacity(), 2000u);
+  EXPECT_GE(session.shard_workspace(0).wire().capacity(), 2000u);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 #include "protocols/http.hpp"
 #include "runtime/derive.hpp"
 #include "runtime/emit.hpp"
-#include "session/arena.hpp"
+#include "runtime/workspace.hpp"
 #include "transform/exec.hpp"
 
 namespace protoobf {
@@ -18,6 +18,16 @@ Graph spec(std::string_view text) {
   auto g = Framework::load_spec(text);
   EXPECT_TRUE(g.ok()) << g.error().message;
   return std::move(g.value());
+}
+
+Status canon(const Graph& g, Inst& root) {
+  Workspace ws;
+  return canonicalize(g, root, canonical_holder_ids(g), ws);
+}
+
+Status presence(const Graph& g, Inst& root) {
+  Workspace ws;
+  return check_presence(g, root, ws);
 }
 
 TEST(FillConsts, FillsEmptyAndChecksNonEmpty) {
@@ -55,7 +65,7 @@ m: seq end {
   Message msg(g);
   msg.set_text("inner", "abcdef");
   msg.set("pad", Bytes{0, 0});
-  ASSERT_TRUE(canonicalize(g, msg.root()).ok());
+  ASSERT_TRUE(canon(g, msg.root()).ok());
   EXPECT_EQ(msg.get_uint("inner_len").value(), 6u);
   EXPECT_EQ(msg.get_uint("outer_len").value(), 1u + 6 + 2);
 }
@@ -73,7 +83,7 @@ m: seq end {
   for (std::size_t n : {5u, 12u, 120u}) {
     Message msg(g);
     msg.set("payload", Bytes(n, 0x41));
-    ASSERT_TRUE(canonicalize(g, msg.root()).ok());
+    ASSERT_TRUE(canon(g, msg.root()).ok());
     EXPECT_EQ(msg.get_uint("len").value(), n);
   }
 }
@@ -89,7 +99,7 @@ m: seq end {
   Message msg(g);
   msg.set_uint("len", 9999);  // wrong on purpose: derived fields are owned
   msg.set_text("payload", "xy");
-  ASSERT_TRUE(canonicalize(g, msg.root()).ok());
+  ASSERT_TRUE(canon(g, msg.root()).ok());
   EXPECT_EQ(msg.get_uint("len").value(), 2u);
 }
 
@@ -103,7 +113,7 @@ m: seq end {
 )");
   Message msg(g);
   msg.set("payload", Bytes(300, 0));  // needs 2 bytes, field holds 1
-  EXPECT_FALSE(canonicalize(g, msg.root()).ok());
+  EXPECT_FALSE(canon(g, msg.root()).ok());
 }
 
 TEST(CheckPresence, DetectsBothMismatchDirections) {
@@ -118,15 +128,15 @@ m: seq end {
   Message missing(g);
   missing.set_uint("kind", 1);  // condition true but optional absent
   missing.set_text("rest", "r");
-  ASSERT_TRUE(canonicalize(g, missing.root()).ok());
-  EXPECT_FALSE(check_presence(g, missing.root()).ok());
+  ASSERT_TRUE(canon(g, missing.root()).ok());
+  EXPECT_FALSE(presence(g, missing.root()).ok());
 
   Message spurious(g);
   spurious.set_uint("kind", 0);
   spurious.set("xv", Bytes{1});  // materializes the optional
   spurious.set_text("rest", "r");
-  ASSERT_TRUE(canonicalize(g, spurious.root()).ok());
-  EXPECT_FALSE(check_presence(g, spurious.root()).ok());
+  ASSERT_TRUE(canon(g, spurious.root()).ok());
+  EXPECT_FALSE(presence(g, spurious.root()).ok());
 }
 
 TEST(FixHolders, WireLengthTracksTransformedSize) {
@@ -218,7 +228,7 @@ m: seq end {
 }
 
 // fix_holders() remembers each holder's logical value for one call in the
-// reusable DeriveScratch. One session arena serializing messages of
+// reusable DeriveScratch. One workspace serializing messages of
 // different shapes in turn (a one-header GET, a six-header POST with a
 // body, the GET again) must never read a memo entry left by an earlier
 // message: every image equals the plain serialize of the same input.
@@ -242,32 +252,26 @@ TEST(FixHolders, ReusedScratchAcrossMessageShapesMatchesPlain) {
     cfg.per_node = per_node;
     auto p = Framework::generate(g, cfg).value();
     const HolderTable table = build_holder_table(p.original(), p.journal());
-    SessionArena arena;
+    const std::vector<NodeId> holders = canonical_holder_ids(p.original());
+    Workspace ws;
     for (std::size_t i = 0; i < std::size(sequence); ++i) {
       const Inst& message = sequence[i]->root();
       const std::uint64_t msg_seed = 31 + i;
-      ASSERT_TRUE(p.serialize_into(message, msg_seed, arena.wire(), nullptr,
-                                   &arena.nodes(), &arena.scopes(),
-                                   &arena.derive())
-                      .ok());
-      EXPECT_EQ(arena.wire(), p.serialize(message, msg_seed).value())
+      ASSERT_TRUE(p.serialize_into(message, msg_seed, ws.wire(), ws).ok());
+      EXPECT_EQ(ws.wire(), p.serialize(message, msg_seed).value())
           << "per_node " << per_node << ", message " << i;
 
       // A second fixpoint over an already-fixed tree finds nothing to do.
-      InstPtr tree = ast::copy(&arena.nodes(), message);
-      ASSERT_TRUE(canonicalize(p.original(), *tree, nullptr, &arena.scopes(),
-                               &arena.derive())
-                      .ok());
+      InstPtr tree = ast::copy(&ws.nodes(), message);
+      ASSERT_TRUE(canonicalize(p.original(), *tree, holders, ws).ok());
       Rng rng(msg_seed);
-      ASSERT_TRUE(forward_all(tree, p.journal(), rng, &arena.nodes()).ok());
+      ASSERT_TRUE(forward_all(tree, p.journal(), rng, &ws.nodes()).ok());
       ASSERT_TRUE(fix_holders(p.wire_graph(), p.journal(), table, *tree,
-                              msg_seed, &arena.nodes(), &arena.scopes(),
-                              &arena.derive())
+                              msg_seed, ws)
                       .ok());
       const InstPtr fixed = ast::copy(nullptr, *tree);
       ASSERT_TRUE(fix_holders(p.wire_graph(), p.journal(), table, *tree,
-                              msg_seed, &arena.nodes(), &arena.scopes(),
-                              &arena.derive())
+                              msg_seed, ws)
                       .ok());
       EXPECT_TRUE(ast::equal(*tree, *fixed))
           << "per_node " << per_node << ", message " << i;
@@ -286,7 +290,7 @@ m: seq end {
   Message msg(g);
   msg.set("a", Bytes{1, 2, 3});
   msg.set_text("b", "bb");
-  ASSERT_TRUE(canonicalize(g, msg.root()).ok());
+  ASSERT_TRUE(canon(g, msg.root()).ok());
   auto bytes = emit(g, msg.root());
   ASSERT_TRUE(bytes.ok());
   auto size = emitted_size(g, msg.root());
@@ -307,7 +311,7 @@ m: seq end {
   msg.append("lines");
   msg.set_text("lines[0].line", "");  // empty line -> element starts with $
   msg.set_text("rest", "x");
-  ASSERT_TRUE(canonicalize(g, msg.root()).ok());
+  ASSERT_TRUE(canon(g, msg.root()).ok());
   EXPECT_FALSE(emit(g, msg.root()).ok());
 }
 

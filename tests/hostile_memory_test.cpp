@@ -10,7 +10,7 @@
 //   * no parse error path leaks a checked-out node (live returns to 0);
 //   * StreamReader::resync() recovery returns the reassembly buffer to
 //     its drained state, flood after flood;
-//   * SessionArena::shrink() afterwards releases everything — retained
+//   * Workspace::shrink() afterwards releases everything — retained
 //     buffer capacity and idle pool slabs both return to zero, the
 //     go-idle baseline.
 #include <gtest/gtest.h>
@@ -63,7 +63,7 @@ TEST(HostileMemory, PoolHighWaterStaysFlatAcrossAMalformedFlood) {
   auto mutator = fuzz::WireMutator::create(*protocol, seed);
   ASSERT_TRUE(mutator.ok());
 
-  SessionArena arena;
+  Workspace ws;
   Rng rng(seed);
   std::uint64_t malformed = 0;
 
@@ -73,13 +73,12 @@ TEST(HostileMemory, PoolHighWaterStaysFlatAcrossAMalformedFlood) {
     const Bytes input = i % 4 == 0 ? mutator->seeds().front().wire
                                    : hostile_input(mutator->seeds().front(),
                                                    rng);
-    auto tree = protocol->parse(input, &arena.scratch(), &arena.scopes(),
-                                &arena.nodes(), &arena.derive());
+    auto tree = protocol->parse(input, ws);
     (void)tree;
   }
-  const std::size_t high_water = arena.nodes().stats().slabs;
+  const std::size_t high_water = ws.nodes().stats().slabs;
   ASSERT_GT(high_water, 0u);
-  ASSERT_EQ(arena.nodes().stats().live, 0u);
+  ASSERT_EQ(ws.nodes().stats().live, 0u);
 
   constexpr std::uint64_t kFlood = 5000;
   for (std::uint64_t i = 0; i < kFlood; ++i) {
@@ -89,26 +88,25 @@ TEST(HostileMemory, PoolHighWaterStaysFlatAcrossAMalformedFlood) {
       // A mangled frame occasionally still parses (the flip landed in
       // payload data); its tree must drop back to the pool before the
       // leak check below.
-      auto tree = protocol->parse(input, &arena.scratch(), &arena.scopes(),
-                                  &arena.nodes(), &arena.derive());
+      auto tree = protocol->parse(input, ws);
       if (!tree.ok() && tree.error().kind == ErrorKind::Malformed) {
         ++malformed;
       }
     }
-    ASSERT_EQ(arena.nodes().stats().live, 0u)
+    ASSERT_EQ(ws.nodes().stats().live, 0u)
         << "error path leaked nodes at flood input " << i << "\n"
         << fuzztest::seed_note(seed);
   }
   EXPECT_GT(malformed, kFlood / 2)
       << "the flood is not actually hostile enough to test error paths";
-  EXPECT_EQ(arena.nodes().stats().slabs, high_water)
+  EXPECT_EQ(ws.nodes().stats().slabs, high_water)
       << "pool capacity tracked the input count instead of parse depth";
 
   // Go-idle: shrink releases every retained byte and every idle slab.
-  arena.shrink();
-  EXPECT_EQ(arena.retained(), 0u);
-  EXPECT_EQ(arena.nodes().stats().slabs, 0u);
-  EXPECT_EQ(arena.nodes().stats().live, 0u);
+  ws.shrink();
+  EXPECT_EQ(ws.retained(), 0u);
+  EXPECT_EQ(ws.nodes().stats().slabs, 0u);
+  EXPECT_EQ(ws.nodes().stats().live, 0u);
 }
 
 TEST(HostileMemory, ResyncReturnsReaderAndArenaToBaseline) {
@@ -189,19 +187,19 @@ TEST(HostileMemory, ResyncReturnsReaderAndArenaToBaseline) {
     // The recovery baseline: nothing parsed, so no live nodes; the
     // reassembly buffer holds at most the bytes of this burst plus one
     // unfinished frame header — never the flood's cumulative size.
-    ASSERT_EQ(session.arena().nodes().stats().live, 0u);
+    ASSERT_EQ(session.workspace().nodes().stats().live, 0u);
     ASSERT_LE(channel.reader().reassembly_size(), 8u * 1024u)
         << "reassembly grew with the flood at round " << round;
   }
   EXPECT_GT(failures, 0) << "the garbage never tripped framing — the "
                             "hostile path was not exercised";
 
-  // Idle shrink: the reader drops reassembly capacity, the arena drops
+  // Idle shrink: the reader drops reassembly capacity, the workspace drops
   // buffers and slabs. Baseline means zero retained everywhere.
   channel.reader().reset();
-  session.arena().shrink();
-  EXPECT_EQ(session.arena().retained(), 0u);
-  EXPECT_EQ(session.arena().nodes().stats().slabs, 0u);
+  session.workspace().shrink();
+  EXPECT_EQ(session.workspace().retained(), 0u);
+  EXPECT_EQ(session.workspace().nodes().stats().slabs, 0u);
 }
 
 }  // namespace

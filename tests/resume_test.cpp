@@ -15,6 +15,7 @@
 
 #include "core/protoobf.hpp"
 #include "runtime/parse.hpp"
+#include "runtime/workspace.hpp"
 #include "session/protocol_cache.hpp"
 #include "util/rng.hpp"
 
@@ -64,12 +65,11 @@ std::shared_ptr<const ObfuscatedProtocol> compile(std::string_view spec,
 /// intermediate taxonomy: every short attempt is Truncated, never an error.
 Expected<InstPtr> trickle_parse(const ObfuscatedProtocol& protocol,
                                 BytesView wire, std::size_t step,
-                                ParseResume& resume, InstPool& nodes,
+                                ParseResume& resume, Workspace& ws,
                                 std::size_t* consumed) {
   for (std::size_t have = std::min(step, wire.size());;
        have = std::min(have + step, wire.size())) {
-    auto tree = protocol.parse_prefix(wire.first(have), consumed, nullptr,
-                                      nullptr, &nodes, nullptr, &resume);
+    auto tree = protocol.parse_prefix(wire.first(have), consumed, ws, &resume);
     if (tree.ok()) return tree;
     EXPECT_TRUE(tree.error().truncated())
         << "prefix " << have << "/" << wire.size()
@@ -92,10 +92,10 @@ TEST(ParseResume, ResumedTrickleEqualsOneShotOnDelimiterSpec) {
 
   for (const std::size_t step : {1u, 2u, 3u, 7u}) {
     ParseResume resume;
-    InstPool nodes;
+    Workspace ws;
     std::size_t consumed = 0;
     auto resumed =
-        trickle_parse(*protocol, wire, step, resume, nodes, &consumed);
+        trickle_parse(*protocol, wire, step, resume, ws, &consumed);
     ASSERT_TRUE(resumed.ok()) << resumed.error().message;
     EXPECT_EQ(consumed, wire.size());
     EXPECT_TRUE(ast::equal(**resumed, **oneshot)) << "step " << step;
@@ -114,9 +114,9 @@ TEST(ParseResume, DelimiterScanNeverRereadsRejectedBytes) {
 
   // Resumable: scanned bytes stay O(wire) under 1-byte delivery.
   ParseResume resume;
-  InstPool nodes;
+  Workspace ws;
   std::size_t consumed = 0;
-  auto tree = trickle_parse(*protocol, wire, 1, resume, nodes, &consumed);
+  auto tree = trickle_parse(*protocol, wire, 1, resume, ws, &consumed);
   ASSERT_TRUE(tree.ok()) << tree.error().message;
   // Every byte is examined once per scanned region it belongs to, plus a
   // (delimiter-1)-byte overlap per retry: comfortably under 4x the wire.
@@ -127,9 +127,9 @@ TEST(ParseResume, DelimiterScanNeverRereadsRejectedBytes) {
   // the same delivery rescans the front on every attempt — quadratic.
   ParseResume baseline;
   baseline.set_enabled(false);
-  InstPool baseline_nodes;
+  Workspace baseline_ws;
   auto base_tree =
-      trickle_parse(*protocol, wire, 1, baseline, baseline_nodes, &consumed);
+      trickle_parse(*protocol, wire, 1, baseline, baseline_ws, &consumed);
   ASSERT_TRUE(base_tree.ok());
   EXPECT_GT(baseline.stats().scanned_bytes, 16 * wire.size())
       << "baseline unexpectedly cheap: the regression this guards is gone?";
@@ -156,10 +156,10 @@ TEST(ParseResume, StopMarkerRepetitionResumesAcrossElements) {
 
   for (const std::size_t step : {1u, 2u, 5u}) {
     ParseResume resume;
-    InstPool nodes;
+    Workspace ws;
     std::size_t consumed = 0;
     auto resumed =
-        trickle_parse(*protocol, wire, step, resume, nodes, &consumed);
+        trickle_parse(*protocol, wire, step, resume, ws, &consumed);
     ASSERT_TRUE(resumed.ok()) << "step " << step << ": "
                               << resumed.error().message;
     EXPECT_EQ(consumed, wire.size());
@@ -190,15 +190,14 @@ TEST(ParseResume, RandomChunkingsMatchOneShotOnObfuscatedSpec) {
 
     for (int round = 0; round < 4; ++round) {
       ParseResume resume;
-      InstPool nodes;
+      Workspace ws;
       std::size_t consumed = 0;
       std::size_t have = 0;
       Expected<InstPtr> tree = Unexpected("never attempted");
       while (true) {
         have = std::min<std::size_t>(have + rng.between(1, 9), wire->size());
         tree = protocol->parse_prefix(BytesView(*wire).first(have), &consumed,
-                                      nullptr, nullptr, &nodes, nullptr,
-                                      &resume);
+                                      ws, &resume);
         if (tree.ok()) break;
         ASSERT_TRUE(tree.error().truncated())
             << "seed " << seed << " at " << have << ": "
@@ -222,12 +221,11 @@ TEST(ParseResume, ShrunkenFrontAutoInvalidatesAndMalformedClears) {
   const Bytes wire = protocol->serialize(msg.root(), 1).value();
 
   ParseResume resume;
-  InstPool nodes;
+  Workspace ws;
   std::size_t consumed = 0;
   // Suspend midway.
   auto partial = protocol->parse_prefix(BytesView(wire).first(wire.size() / 2),
-                                        &consumed, nullptr, nullptr, &nodes,
-                                        nullptr, &resume);
+                                        &consumed, ws, &resume);
   ASSERT_FALSE(partial.ok());
   ASSERT_TRUE(resume.active());
   EXPECT_GT(resume.depth(), 0u);
@@ -235,8 +233,7 @@ TEST(ParseResume, ShrunkenFrontAutoInvalidatesAndMalformedClears) {
   // A shorter front cannot be "the same front with bytes appended": the
   // checkpoint is dropped automatically and the attempt restarts clean.
   auto shorter = protocol->parse_prefix(BytesView(wire).first(2), &consumed,
-                                        nullptr, nullptr, &nodes, nullptr,
-                                        &resume);
+                                        ws, &resume);
   ASSERT_FALSE(shorter.ok());
   EXPECT_TRUE(shorter.error().truncated());
   EXPECT_GT(resume.stats().invalidations, 0u);
@@ -244,8 +241,7 @@ TEST(ParseResume, ShrunkenFrontAutoInvalidatesAndMalformedClears) {
   // Malformed input clears the checkpoint (nothing to continue).
   Bytes garbage = {0x00, 0x01, 0x02};  // ftag must be ascii digits
   garbage.resize(24, 0x02);
-  auto bad = protocol->parse_prefix(garbage, &consumed, nullptr, nullptr,
-                                    &nodes, nullptr, &resume);
+  auto bad = protocol->parse_prefix(garbage, &consumed, ws, &resume);
   // Whether this exact garbage parses or not, no checkpoint may survive a
   // non-truncated outcome.
   if (!bad.ok() && !bad.error().truncated()) {
@@ -254,8 +250,7 @@ TEST(ParseResume, ShrunkenFrontAutoInvalidatesAndMalformedClears) {
 
   // And an explicit invalidate always works, releasing pooled partials.
   auto again = protocol->parse_prefix(BytesView(wire).first(wire.size() / 2),
-                                      &consumed, nullptr, nullptr, &nodes,
-                                      nullptr, &resume);
+                                      &consumed, ws, &resume);
   ASSERT_FALSE(again.ok());
   ASSERT_TRUE(resume.active());
   resume.invalidate();
@@ -263,8 +258,7 @@ TEST(ParseResume, ShrunkenFrontAutoInvalidatesAndMalformedClears) {
   EXPECT_EQ(resume.depth(), 0u);
 
   // After all of that, a clean full parse still round-trips.
-  auto full = protocol->parse_prefix(wire, &consumed, nullptr, nullptr,
-                                     &nodes, nullptr, &resume);
+  auto full = protocol->parse_prefix(wire, &consumed, ws, &resume);
   ASSERT_TRUE(full.ok()) << full.error().message;
   EXPECT_EQ(consumed, wire.size());
 }
@@ -277,19 +271,19 @@ TEST(ParseResume, SuspendedTreesRecycleIntoThePool) {
   msg.set_text("fbody", "pool hygiene");
   const Bytes wire = protocol->serialize(msg.root(), 2).value();
 
-  InstPool nodes;
+  Workspace ws;
   {
     ParseResume resume;
     std::size_t consumed = 0;
     for (int round = 0; round < 8; ++round) {
-      auto tree = trickle_parse(*protocol, wire, 1, resume, nodes, &consumed);
+      auto tree = trickle_parse(*protocol, wire, 1, resume, ws, &consumed);
       ASSERT_TRUE(tree.ok());
       // Dropping the result returns every node — including any that lived
       // in suspended partials along the way — to the freelist.
     }
     resume.invalidate();
   }
-  EXPECT_EQ(nodes.stats().live, 0u)
+  EXPECT_EQ(ws.nodes().stats().live, 0u)
       << "suspended partial trees leaked out of the pool";
 }
 

@@ -301,7 +301,8 @@ TEST_F(MalformedWire, GoodWireParses) {
 
 TEST_F(MalformedWire, TruncatedInputFails) {
   Bytes wire = good_wire();
-  wire.resize(wire.size() - 1);
+  ASSERT_FALSE(wire.empty());
+  wire.pop_back();
   const auto result = p.parse(wire);
   ASSERT_FALSE(result.ok());
 }

@@ -432,7 +432,7 @@ TEST(SessionBatch, ErrorItemsAreIsolated) {
   EXPECT_TRUE(trees[2].ok());
 }
 
-TEST(SessionArena, RetainsCapacityAcrossMessages) {
+TEST(SessionWorkspace, RetainsCapacityAcrossMessages) {
   ProtocolCache cache;
   auto protocol = cache.get_or_compile(kSmallSpec, config_of(11, 2));
   ASSERT_TRUE(protocol.ok()) << protocol.error().message;

@@ -12,7 +12,7 @@
 //     message exactly once (cumulative acks reach exactly SOAK_MSGS);
 //   * a pure transport fault never surfaces as Malformed — not in any
 //     server close, any client parse result, or any client give-up;
-//   * memory returns to baseline — SessionArena::shrink on the survivors
+//   * memory returns to baseline — Workspace::shrink on the survivors
 //     releases everything, and a graceful drain leaves zero active
 //     connections on the server;
 //   * the whole schedule replays from one logged seed (SOAK_SEED).
@@ -278,8 +278,8 @@ TEST(Soak, FaultScheduleLosesNothing) {
     ClientState& state = clients[i];
     loop.post([&state, &retained, &shrunk] {
       if (Connection* conn = state.client->connection()) {
-        conn->session().arena().shrink();
-        retained.fetch_add(conn->session().arena().retained());
+        conn->session().workspace().shrink();
+        retained.fetch_add(conn->session().workspace().retained());
       }
       state.client->stop();
       shrunk.fetch_add(1);

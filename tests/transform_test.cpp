@@ -12,6 +12,7 @@
 #include "protocols/http.hpp"
 #include "protocols/modbus.hpp"
 #include "runtime/derive.hpp"
+#include "runtime/workspace.hpp"
 #include "spec/parser.hpp"
 #include "transform/apply.hpp"
 #include "transform/constraints.hpp"
@@ -423,18 +424,21 @@ TEST(Lineage, ChainInversionMatchesWholeJournalInversion) {
         const Journal& journal = protocol->journal();
         const HolderTable table =
             build_holder_table(protocol->original(), journal);
+        const std::vector<NodeId> holders =
+            canonical_holder_ids(protocol->original());
+        Workspace ws;  // outlives every tree below: rebuilds draw from it
         Rng rng(seed * 31 + static_cast<std::uint64_t>(per_node));
         for (int m = 0; m < 10; ++m) {
           Message msg = make(protocol->original(), rng);
           const std::uint64_t msg_seed = rng.next_u64();
           InstPtr tree = ast::copy(nullptr, msg.root());
-          Status s = canonicalize(protocol->original(), *tree);
+          Status s = canonicalize(protocol->original(), *tree, holders, ws);
           ASSERT_TRUE(s.ok()) << s.error().message;
           Rng forward(msg_seed);
           s = forward_all(tree, journal, forward);
           ASSERT_TRUE(s.ok()) << s.error().message;
           s = fix_holders(protocol->wire_graph(), journal, table, *tree,
-                          msg_seed);
+                          msg_seed, ws);
           ASSERT_TRUE(s.ok()) << s.error().message;
           const auto visit = [&](const auto& self, const Inst& inst) -> void {
             if (const HolderInfo* info = table.find_by_top(inst.schema)) {

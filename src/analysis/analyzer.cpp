@@ -1,8 +1,10 @@
 // Analyzer core: per-region wire facts + the diagnostic checks.
 //
-// Everything here is a single bottom-up pass over the wire graph (facts),
-// followed by flat per-node checks and a few whole-graph walks (stream
-// safety, reference cycles, the static-offset fingerprint scan). The facts
+// Minimum sizes and stream violations come from the runtime's wire_facts()
+// walk (runtime/parse.hpp), the one place that decides them. Everything
+// else here is a single bottom-up pass over the wire graph (facts),
+// followed by flat per-node checks and a few whole-graph walks (reference
+// cycles, the static-offset fingerprint scan). The facts
 // are deliberately conservative: byte domains over-approximate (a warning
 // may fire on a value the application never actually sends), sizes and
 // constant prefixes under-approximate (an Error is never based on a byte
@@ -91,10 +93,9 @@ ByteSet map_set(const ByteSet& s, TransformKind kind, BytesView key,
   return out;
 }
 
-/// Per-region wire facts, computed bottom-up.
+/// Per-region wire facts, computed bottom-up. Minimum sizes are not here:
+/// they come from the runtime's wire_facts() walk (runtime/parse.hpp).
 struct Facts {
-  std::size_t content_min = 0;  // mandatory content, before region wrap
-  std::size_t min_size = 0;     // region min; mirrors min_node_size exactly
   std::optional<std::uint64_t> max_size;  // nullopt = unbounded
   NodeId unbounded_by = kNoNode;          // culprit when max_size is nullopt
   ByteSet first;  // possible first bytes of a non-empty region
@@ -124,11 +125,12 @@ class Analyzer {
       return std::move(report_);
     }
     classify_journal();
+    wire_facts_ = wire_facts(wire_);
     facts_.resize(wire_.arena_size());
     compute(wire_.root());
 
     const Facts& root = facts_[wire_.root()];
-    report_.min_need = root.min_size;
+    report_.min_need = wire_facts_.min_size[wire_.root()];
     report_.max_wire = root.max_size;
 
     check_stream_safety();
@@ -138,9 +140,6 @@ class Analyzer {
     check_holder_chains();
     check_random_under_scan();
     check_fingerprint();
-
-    detail::cross_check(report_, wire_, root.min_size,
-                        stream_violations_ == 0);
 
     std::stable_sort(report_.diagnostics.begin(), report_.diagnostics.end(),
                      [](const Diagnostic& a, const Diagnostic& b) {
@@ -287,12 +286,6 @@ class Analyzer {
   }
 
   void terminal_facts(NodeId id, const Node& n, Facts& f) {
-    // Content min/max, mirroring min_node_size's terminal arm.
-    if (n.has_const) {
-      f.content_min = n.const_value.size();
-    } else if (n.boundary == BoundaryKind::Fixed) {
-      f.content_min = n.fixed_size;
-    }
     switch (n.boundary) {
       case BoundaryKind::Fixed:
         f.max_size = n.fixed_size;
@@ -361,7 +354,6 @@ class Analyzer {
     NodeId culprit = kNoNode;
     for (const NodeId child : n.children) {
       const Facts& c = facts_[child];
-      f.content_min += c.min_size;
       if (max && c.max_size) {
         max = sat_add(*max, *c.max_size);
       } else if (max) {
@@ -370,7 +362,7 @@ class Analyzer {
       }
       if (first_open) {
         f.first.merge(c.first);
-        if (c.min_size > 0) first_open = false;
+        if (wire_facts_.min_size[child] > 0) first_open = false;
       }
       f.all.merge(c.all);
       if (prefix_open) {
@@ -395,14 +387,6 @@ class Analyzer {
   /// Region-boundary adjustments shared by every node type: the size the
   /// region itself imposes, the delimiter's bytes, mirroring.
   void wrap_region(NodeId id, const Node& n, Facts& f) {
-    // min: mirror min_node_size's region arm exactly.
-    f.min_size = f.content_min;
-    if (n.boundary == BoundaryKind::Fixed && n.fixed_size > f.min_size) {
-      f.min_size = n.fixed_size;
-    }
-    if (n.boundary == BoundaryKind::Delimited) {
-      f.min_size += n.delimiter.size();
-    }
     // max: an explicit region bound overrides (and a Length region is also
     // capped by what its holder can express).
     switch (n.boundary) {
@@ -433,7 +417,7 @@ class Analyzer {
     if (n.boundary == BoundaryKind::Delimited && !n.delimiter.empty()) {
       // An empty content region starts with its own delimiter (or, for a
       // stop-marker repetition, an empty repetition starts with the marker).
-      if (f.content_min == 0) f.first.add(n.delimiter[0]);
+      if (wire_facts_.content_min[id] == 0) f.first.add(n.delimiter[0]);
       for (const Byte b : n.delimiter) f.all.add(b);
       if (f.constant) {
         append(f.const_bytes, n.delimiter);
@@ -458,62 +442,16 @@ class Analyzer {
 
   // --- stream / datagram safety (PO-W106, PO-N201) -------------------------
 
+  /// One located PO-W106 per violation the shared walk reports.
   void check_stream_safety() {
-    stream_walk(wire_.root(), /*open=*/true);
-    report_.is_stream_safe = stream_violations_ == 0;
-  }
-
-  /// Mirrors runtime check_stream_safe(), but records every violation as a
-  /// located PO-W106 instead of failing on the first.
-  void stream_walk(NodeId id, bool open) {
-    const Node& n = wire_.node(id);
-    bool child_open = false;
-    if (open) {
-      bool violated = false;
-      switch (n.boundary) {
-        case BoundaryKind::End:
-          if (n.type != NodeType::Sequence || n.mirrored) {
-            stream_violation(id,
-                             "extends to the end of the input and cannot "
-                             "delimit itself in a stream");
-            violated = true;
-          } else {
-            child_open = true;
-          }
-          break;
-        case BoundaryKind::Half:
-          stream_violation(id, "a split half cannot delimit itself in a "
-                               "stream");
-          violated = true;
-          break;
-        case BoundaryKind::Fixed:
-        case BoundaryKind::Length:
-          break;
-        case BoundaryKind::Delimited:
-          child_open = n.type == NodeType::Repetition;
-          break;
-        case BoundaryKind::Delegated:
-        case BoundaryKind::Counter:
-          child_open = true;
-          break;
-      }
-      if (!violated && n.mirrored && n.boundary != BoundaryKind::Fixed &&
-          n.boundary != BoundaryKind::Length &&
-          n.boundary != BoundaryKind::Delimited) {
-        stream_violation(id, "a mirrored node has no intrinsic region in a "
-                             "stream");
-      }
+    for (const WireFacts::StreamViolation& v : wire_facts_.stream_violations) {
+      emit("PO-W106", "not-stream-safe", Severity::Warning, v.node,
+           "node '" + wire_.node(v.node).name + "' " + v.reason +
+               "; prefix parsing over a byte stream is rejected",
+           "bound the region with fixed/length, or serve this protocol in "
+           "whole-message (datagram) mode");
     }
-    for (const NodeId child : n.children) stream_walk(child, child_open);
-  }
-
-  void stream_violation(NodeId id, const std::string& why) {
-    ++stream_violations_;
-    emit("PO-W106", "not-stream-safe", Severity::Warning, id,
-         "node '" + wire_.node(id).name + "' " + why +
-             "; prefix parsing over a byte stream is rejected",
-         "bound the region with fixed/length, or serve this protocol in "
-         "whole-message (datagram) mode");
+    report_.is_stream_safe = wire_facts_.stream_violations.empty();
   }
 
   void check_frame_bounds(const Facts& root) {
@@ -553,14 +491,15 @@ class Analyzer {
   void check_node(NodeId id) {
     const Node& n = wire_.node(id);
     const Facts& f = facts_[id];
+    const std::size_t content_min = wire_facts_.content_min[id];
 
     // PO-E001: a fixed region must be able to hold its mandatory content
     // (the emitter rejects any instance, so no message of this graph
     // serializes at all).
-    if (n.boundary == BoundaryKind::Fixed && f.content_min > n.fixed_size) {
+    if (n.boundary == BoundaryKind::Fixed && content_min > n.fixed_size) {
       emit("PO-E001", "fixed-region-overflow", Severity::Error, id,
            "mandatory content needs at least " +
-               std::to_string(f.content_min) + " bytes but the fixed region "
+               std::to_string(content_min) + " bytes but the fixed region "
                "holds " + std::to_string(n.fixed_size),
            "widen the fixed region or shrink the mandatory content");
     }
@@ -569,10 +508,10 @@ class Analyzer {
     // largest value its holder can encode can never round-trip.
     if (n.boundary == BoundaryKind::Length) {
       const auto bound = holder_max_value(n.ref);
-      if (bound && f.content_min > *bound) {
+      if (bound && content_min > *bound) {
         emit("PO-E002", "length-region-overflow", Severity::Error, id,
              "mandatory content needs at least " +
-                 std::to_string(f.content_min) +
+                 std::to_string(content_min) +
                  " bytes but the length holder can express at most " +
                  std::to_string(*bound),
              "widen the length holder or shrink the region's mandatory "
@@ -591,9 +530,8 @@ class Analyzer {
     // parser iteration and `element_min` wire bytes.
     if (n.type == NodeType::Tabular) {
       const auto count = holder_max_value(n.ref);
-      const Facts& elem = facts_[n.children[0]];
       const std::uint64_t per =
-          std::max<std::uint64_t>(elem.min_size, 1);
+          std::max<std::uint64_t>(wire_facts_.min_size[n.children[0]], 1);
       if (!count) {
         emit("PO-W104", "counter-saturation", Severity::Warning, id,
              "the element count claim is statically unbounded; a hostile "
@@ -619,7 +557,7 @@ class Analyzer {
     // PO-W107: an element that can consume zero bytes turns the repetition
     // into the runtime's "consumed no input" Malformed — reachable by a
     // hostile peer, invisible in happy-path tests.
-    if (elem.min_size == 0) {
+    if (wire_facts_.min_size[elem_id] == 0) {
       emit("PO-W107", "possibly-empty-element", Severity::Warning, elem_id,
            "repetition element '" + wire_.node(elem_id).name +
                "' can occupy zero wire bytes; the parser rejects such an "
@@ -882,7 +820,7 @@ class Analyzer {
       return off;
     }
     if (n.boundary == BoundaryKind::Fixed) return offset + n.fixed_size;
-    if (f.static_size) return offset + f.min_size;
+    if (f.static_size) return offset + wire_facts_.min_size[id];
     return std::nullopt;
   }
 
@@ -891,11 +829,11 @@ class Analyzer {
   const HolderTable& holders_;
   Options options_;
   Report report_;
+  WireFacts wire_facts_;  // minimum sizes and stream violations
   std::vector<Facts> facts_;
   std::vector<std::uint8_t> random_;
   std::vector<std::vector<const AppliedTransform*>> const_keys_;
   std::vector<FingerprintSpan> spans_;
-  std::size_t stream_violations_ = 0;
 };
 
 }  // namespace
@@ -968,45 +906,5 @@ bool datagram_safe(const Graph& wire, std::size_t mtu) {
   const HolderTable holders;
   return analyze_parts(wire, wire, empty, holders, options).is_datagram_safe;
 }
-
-namespace detail {
-
-void cross_check(Report& report, const Graph& wire, std::size_t computed_min,
-                 bool computed_stream_ok) {
-  const std::size_t runtime_min = min_wire_size(wire);
-  if (computed_min != runtime_min) {
-    Diagnostic d;
-    d.id = "PO-E999";
-    d.name = "analysis-mismatch";
-    d.severity = Severity::Error;
-    d.node = wire.root();
-    d.path = wire.root() == kNoNode ? "" : wire.path_of(wire.root());
-    d.message = "analyzer min-need (" + std::to_string(computed_min) +
-                ") disagrees with min_wire_size() (" +
-                std::to_string(runtime_min) +
-                "); one of the two is unsound";
-    d.hint = "file a framework bug: the static analyzer and the runtime "
-             "predicate must agree";
-    report.diagnostics.push_back(std::move(d));
-  }
-  const bool runtime_stream_ok = static_cast<bool>(stream_safe(wire));
-  if (computed_stream_ok != runtime_stream_ok) {
-    Diagnostic d;
-    d.id = "PO-E999";
-    d.name = "analysis-mismatch";
-    d.severity = Severity::Error;
-    d.node = wire.root();
-    d.path = wire.root() == kNoNode ? "" : wire.path_of(wire.root());
-    d.message = std::string("analyzer stream-safety verdict (") +
-                (computed_stream_ok ? "safe" : "unsafe") +
-                ") disagrees with stream_safe() (" +
-                (runtime_stream_ok ? "safe" : "unsafe") + ")";
-    d.hint = "file a framework bug: the static analyzer and the runtime "
-             "predicate must agree";
-    report.diagnostics.push_back(std::move(d));
-  }
-}
-
-}  // namespace detail
 
 }  // namespace protoobf::analysis

@@ -6,13 +6,13 @@
 // that converge, no seed-invariant bytes for DPI to fingerprint — can be
 // proved (or refuted) once, statically, from the graph G(n+1) and the
 // journal. This module walks the compiled artifact bottom-up, computes
-// per-region wire facts (min/max size, first-byte and interior byte
-// domains, guaranteed constant prefixes) and emits structured diagnostics.
+// per-region wire facts (max size, first-byte and interior byte domains,
+// guaranteed constant prefixes) and emits structured diagnostics.
 //
-// It subsumes the scattered ad-hoc predicates: `stream_safe()` and the
-// ROADMAP's `datagram_safe()` become named, located diagnostics, and the
-// analyzer's own min-need computation is cross-checked against
-// `min_wire_size()` — a disagreement is itself a diagnostic (PO-E999).
+// Minimum sizes and stream safety it reads from the runtime's one
+// wire_facts() walk (runtime/parse.hpp), the same walk behind
+// `min_wire_size()` and `stream_safe()`: every stream violation becomes a
+// named, located PO-W106, and `datagram_safe()` a PO-N201.
 //
 // Severity contract: an Error means the artifact is wrong (some message
 // cannot round-trip, or the runtime metadata is corrupt) and serving it is
@@ -64,12 +64,14 @@ struct Report {
   std::string protocol;
   std::vector<Diagnostic> diagnostics;
 
-  /// Static lower bound on any message's wire size (== min_wire_size()).
+  /// Static lower bound on any message's wire size: min_wire_size(), read
+  /// from the same wire_facts() walk.
   std::size_t min_need = 0;
   /// Static upper bound; nullopt = unbounded (only the reassembly cap
   /// bounds a frame — see PO-W103).
   std::optional<std::uint64_t> max_wire;
-  bool is_stream_safe = false;    // mirrors runtime stream_safe()
+  /// No wire_facts() stream violation, i.e. stream_safe() succeeds.
+  bool is_stream_safe = false;
   bool is_datagram_safe = false;  // max_wire bounded and <= datagram_mtu
 
   std::size_t errors() const;
@@ -113,15 +115,5 @@ std::string render_text(const Report& report);
 
 /// Machine-readable rendering (a single JSON object).
 std::string render_json(const Report& report);
-
-namespace detail {
-
-/// The PO-E999 self-check: compares the analyzer's computed min-need and
-/// stream verdict against the runtime predicates and appends a diagnostic
-/// on any disagreement. Split out so tests can prove the check fires.
-void cross_check(Report& report, const Graph& wire, std::size_t computed_min,
-                 bool computed_stream_ok);
-
-}  // namespace detail
 
 }  // namespace protoobf::analysis

@@ -93,20 +93,20 @@ class WireParser {
     return Unexpected(what, r.pos);
   }
 
-  /// Logical value of an already-parsed reference target. A holder top
-  /// (`info` non-null) inverts only its lineage chain and, with an empty
-  /// chain, is read in place with no copy; any other target pool-copies
-  /// its subtree and inverts every journal entry. An inverted copy is kept
-  /// alive in `keep`, which the returned pointer reads from.
+  /// Logical value of an already-parsed reference target: its lineage
+  /// chain inverted over a pool copy, kept alive in `keep`, which the
+  /// returned pointer reads from. With an empty chain the target is read
+  /// in place with no copy.
   Expected<const Bytes*> logical_value(const Inst& target,
                                        const HolderInfo* info, InstPtr& keep,
                                        const Reader& r) const {
+    if (info == nullptr) {
+      return fail(r, "no lineage for reference target '" +
+                         wire_.node(target.schema).name + "'");
+    }
     const Inst* logical = &target;
-    if (info == nullptr || !info->chain.empty()) {
-      auto inverted =
-          info != nullptr
-              ? invert_chain(target, journal_, info->chain, nodes_)
-              : invert_clone(target, journal_, nodes_);
+    if (!info->chain.empty()) {
+      auto inverted = invert_chain(target, journal_, info->chain, nodes_);
       if (!inverted) return Unexpected(inverted.error());
       keep = std::move(*inverted);
       logical = keep.get();
@@ -126,7 +126,7 @@ class WireParser {
     auto logical = logical_value(holder, info, keep, r);
     if (!logical) return Unexpected(logical.error());
     const Bytes& bytes = **logical;
-    const Node& n = wire_.node(info != nullptr ? info->origin : ref);
+    const Node& n = wire_.node(info->origin);
     if (n.encoding == Encoding::AsciiDec) {
       auto value = ascii_dec_decode(bytes);
       if (!value) return fail(r, "holder is not a decimal number");
@@ -565,27 +565,28 @@ Expected<InstPtr> parse_wire_prefix(const Graph& wire, const Journal& journal,
 
 namespace {
 
-/// `open` mirrors the parser's soft flag: true while the node's region
-/// would reach to wherever the stream happens to pause.
-Status check_stream_safe(const Graph& g, NodeId id, bool open) {
+/// The one walk behind wire_facts(): minimum sizes bottom-up, stream
+/// violations top-down. `open` copies the parser's soft flag: true while
+/// the node's region would reach to wherever the stream happens to pause.
+void walk_facts(const Graph& g, NodeId id, bool open, WireFacts& facts) {
   const Node& n = g.node(id);
   bool child_open = false;
   if (open) {
+    const char* violation = nullptr;
     switch (n.boundary) {
       case BoundaryKind::End:
         if (n.type != NodeType::Sequence || n.mirrored) {
-          return Unexpected("node '" + n.name +
-                            "' extends to the end of the input and cannot "
-                            "delimit itself in a stream");
+          violation = "extends to the end of the input and cannot delimit "
+                      "itself in a stream";
+        } else {
+          child_open = true;
         }
-        child_open = true;
         break;
       case BoundaryKind::Half:
-        return Unexpected("split half '" + n.name +
-                          "' cannot delimit itself in a stream");
+        violation = "is a split half and cannot delimit itself in a stream";
+        break;
       case BoundaryKind::Fixed:
       case BoundaryKind::Length:
-        child_open = false;
         break;
       case BoundaryKind::Delimited:
         // The scanned region is hard; a stop-marker repetition's elements
@@ -597,63 +598,61 @@ Status check_stream_safe(const Graph& g, NodeId id, bool open) {
         child_open = true;
         break;
     }
-    if (n.mirrored && n.boundary != BoundaryKind::Fixed &&
+    if (violation == nullptr && n.mirrored &&
+        n.boundary != BoundaryKind::Fixed &&
         n.boundary != BoundaryKind::Length &&
         n.boundary != BoundaryKind::Delimited) {
-      return Unexpected("mirrored node '" + n.name +
-                        "' has no intrinsic region in a stream");
+      violation = "is mirrored and has no intrinsic region in a stream";
+    }
+    if (violation != nullptr) {
+      facts.stream_violations.push_back({id, violation});
     }
   }
-  for (const NodeId child : n.children) {
-    if (Status s = check_stream_safe(g, child, child_open); !s) return s;
-  }
-  return Status::success();
-}
 
-}  // namespace
-
-Status stream_safe(const Graph& wire) {
-  return check_stream_safe(wire, wire.root(), /*open=*/true);
-}
-
-namespace {
-
-std::size_t min_node_size(const Graph& g, NodeId id) {
-  const Node& n = g.node(id);
   // Mandatory content: optionals may be absent, repetitions/tabulars may be
   // empty, so only Sequence children (and a Terminal's own region) count.
   std::size_t content = 0;
-  switch (n.type) {
-    case NodeType::Terminal:
-      if (n.has_const) content = n.const_value.size();
-      else if (n.boundary == BoundaryKind::Fixed) content = n.fixed_size;
-      break;
-    case NodeType::Sequence:
-      for (const NodeId child : n.children) {
-        content += min_node_size(g, child);
-      }
-      break;
-    case NodeType::Optional:
-    case NodeType::Repetition:
-    case NodeType::Tabular:
-      break;
+  for (const NodeId child : n.children) {
+    walk_facts(g, child, child_open, facts);
+    if (n.type == NodeType::Sequence) content += facts.min_size[child];
   }
+  if (n.type == NodeType::Terminal) {
+    if (n.has_const) content = n.const_value.size();
+    else if (n.boundary == BoundaryKind::Fixed) content = n.fixed_size;
+  }
+  facts.content_min[id] = content;
   // The region itself may add bytes beyond the content: a fixed region is
   // its declared size no matter how little sits inside, a scanned region
   // ends with its delimiter, a stop-marker repetition with its marker.
-  if (n.boundary == BoundaryKind::Fixed && n.fixed_size > content) {
-    content = n.fixed_size;
+  // Mirroring permutes the region; it never resizes it.
+  std::size_t region = content;
+  if (n.boundary == BoundaryKind::Fixed && n.fixed_size > region) {
+    region = n.fixed_size;
   }
-  if (n.boundary == BoundaryKind::Delimited) {
-    content += n.delimiter.size();
-  }
-  return content;  // mirroring permutes the region; it never resizes it
+  if (n.boundary == BoundaryKind::Delimited) region += n.delimiter.size();
+  facts.min_size[id] = region;
 }
 
 }  // namespace
 
+WireFacts wire_facts(const Graph& wire) {
+  WireFacts facts;
+  facts.content_min.assign(wire.arena_size(), 0);
+  facts.min_size.assign(wire.arena_size(), 0);
+  walk_facts(wire, wire.root(), /*open=*/true, facts);
+  return facts;
+}
+
+Status stream_safe(const Graph& wire) {
+  const WireFacts facts = wire_facts(wire);
+  if (facts.stream_violations.empty()) return Status::success();
+  const WireFacts::StreamViolation& first = facts.stream_violations.front();
+  return Unexpected("node '" + wire.node(first.node).name + "' " +
+                    first.reason);
+}
+
 std::size_t min_wire_size(const Graph& wire) {
-  return min_node_size(wire, wire.root());
+  return wire_facts(wire).min_size[wire.root()];
 }
 
 }  // namespace protoobf

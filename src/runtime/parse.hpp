@@ -5,11 +5,14 @@
 // sub-node of AST from the message, it must first delimit the corresponding
 // sub-part"): a Length/Counter/Condition target may itself have been
 // transformed — split in two, xored, wrapped — so the parser recovers its
-// *logical* value before using it to delimit what follows. A holder inverts
-// only its own lineage chain over the already-parsed subtree (read in place
-// when the chain is empty); any other condition target inverts the whole
-// journal over a copy of its subtree.
+// *logical* value before using it to delimit what follows. Every reference
+// target has a lineage chain in the HolderTable: the parser inverts only
+// that chain over the already-parsed subtree, and reads the target in
+// place when the chain is empty.
 #pragma once
+
+#include <cstddef>
+#include <vector>
 
 #include "ast/ast.hpp"
 #include "graph/graph.hpp"
@@ -60,21 +63,45 @@ Expected<InstPtr> parse_wire_prefix(const Graph& wire, const Journal& journal,
                                     std::size_t* consumed, Workspace& ws,
                                     ParseResume* resume = nullptr);
 
-/// Checks that the wire graph delimits its own messages, i.e. that no node
-/// parsed in a stream-open position depends on where the input ends: a
-/// Terminal/Repetition (or mirrored subtree) bounded by `end`, or a split
-/// `half`, consumes "whatever is left" and therefore cannot be framed by
-/// content alone. Root sequences bounded by `end` are fine — their children
-/// delimit themselves. Framers check this once at construction instead of
-/// failing on the first decode.
+/// Facts about a wire graph that follow from its nodes alone. One walk
+/// (wire_facts()) decides them; stream_safe(), min_wire_size() and the
+/// static analyzer (analysis/analyzer.hpp) all read its result.
+struct WireFacts {
+  /// A node parsed in a stream-open position that depends on where the
+  /// input ends: a Terminal/Repetition (or mirrored subtree) bounded by
+  /// `end`, a split `half`, or a mirrored node with no intrinsic region
+  /// consumes "whatever is left" and cannot be framed by content alone.
+  /// Root sequences bounded by `end` are fine: their children delimit
+  /// themselves.
+  struct StreamViolation {
+    NodeId node = kNoNode;
+    const char* reason = "";  // completes "node '<name>' ..."
+  };
+
+  /// Per node id: the mandatory content size before the region wrap, and
+  /// the region minimum. Fixed regions and delimiters/stop markers count in
+  /// full; optionals and repetitions count as absent/empty, length- and
+  /// count-bounded content as zero.
+  std::vector<std::size_t> content_min;
+  std::vector<std::size_t> min_size;
+  /// Every violation, in DFS order; empty for a stream-safe graph.
+  std::vector<StreamViolation> stream_violations;
+};
+
+/// The walk over `wire` (its root must exist). The `open` rule it applies
+/// is the parser's soft/hard reader rule, kept beside the parser.
+WireFacts wire_facts(const Graph& wire);
+
+/// Checks that the wire graph delimits its own messages: fails with the
+/// first of wire_facts()'s stream violations. Framers check this once at
+/// construction instead of failing on the first decode.
 Status stream_safe(const Graph& wire);
 
-/// Static lower bound on the wire size of any message of `wire`: fixed
-/// regions and delimiters/stop markers count in full, optionals and
-/// repetitions count as absent/empty, length/count-bounded regions as zero.
-/// Stream framers use it as the minimum-bytes floor before the first decode
-/// attempt — for a length-driven frame format this makes the initial
-/// need-more hint exact (the header size) instead of the 1-byte floor.
+/// Static lower bound on the wire size of any message of `wire`: the root's
+/// wire_facts() region minimum. Stream framers use it as the minimum-bytes
+/// floor before the first decode attempt — for a length-driven frame format
+/// this makes the initial need-more hint exact (the header size) instead of
+/// the 1-byte floor.
 std::size_t min_wire_size(const Graph& wire);
 
 }  // namespace protoobf

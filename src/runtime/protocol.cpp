@@ -97,24 +97,20 @@ Expected<InstPtr> ObfuscatedProtocol::parse(BytesView wire) const {
 
 Expected<InstPtr> ObfuscatedProtocol::parse(BytesView wire,
                                             Workspace& ws) const {
-  return parse_impl(wire, nullptr, ws, nullptr);
+  return recover(parse_wire(wire_, journal_, holders_, wire, ws), ws);
 }
 
 Expected<InstPtr> ObfuscatedProtocol::parse_prefix(BytesView buffer,
                                                    std::size_t* consumed,
                                                    Workspace& ws,
                                                    ParseResume* resume) const {
-  return parse_impl(buffer, consumed, ws, resume);
+  return recover(parse_wire_prefix(wire_, journal_, holders_, buffer,
+                                   consumed, ws, resume),
+                 ws);
 }
 
-Expected<InstPtr> ObfuscatedProtocol::parse_impl(BytesView wire,
-                                                 std::size_t* consumed,
-                                                 Workspace& ws,
-                                                 ParseResume* resume) const {
-  auto tree = consumed == nullptr
-                  ? parse_wire(wire_, journal_, holders_, wire, ws)
-                  : parse_wire_prefix(wire_, journal_, holders_, wire,
-                                      consumed, ws, resume);
+Expected<InstPtr> ObfuscatedProtocol::recover(Expected<InstPtr> tree,
+                                              Workspace& ws) const {
   if (!tree) return tree;
   if (Status s = inverse_all(*tree, journal_, &ws.nodes()); !s) {
     return Unexpected(s.error());

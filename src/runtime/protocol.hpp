@@ -96,11 +96,10 @@ class ObfuscatedProtocol {
  private:
   ObfuscatedProtocol(Graph original, ObfuscationResult result);
 
-  /// The parse pipeline behind parse() and parse_prefix(): wire parse (the
-  /// whole of `wire` when `consumed` is null, else one message from its
-  /// front), inverse transformations, then the canonical-form checks.
-  Expected<InstPtr> parse_impl(BytesView wire, std::size_t* consumed,
-                               Workspace& ws, ParseResume* resume) const;
+  /// The parse pipeline after the wire parse that parse() (whole buffer)
+  /// or parse_prefix() (one message from the front) ran: inverse
+  /// transformations, then the canonical-form checks.
+  Expected<InstPtr> recover(Expected<InstPtr> tree, Workspace& ws) const;
 
   Graph original_;
   Graph wire_;

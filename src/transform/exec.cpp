@@ -350,15 +350,6 @@ Status inverse_all(InstPtr& root, const Journal& journal, InstPool* pool) {
   return Status::success();
 }
 
-Expected<InstPtr> invert_clone(const Inst& wire_subtree, const Journal& journal,
-                               InstPool* pool) {
-  InstPtr copy = ast::copy(pool, wire_subtree);
-  if (Status s = inverse_all(copy, journal, pool); !s) {
-    return Unexpected(s.error());
-  }
-  return copy;
-}
-
 Expected<InstPtr> invert_chain(const Inst& holder_subtree,
                                const Journal& journal,
                                const std::vector<std::size_t>& chain,

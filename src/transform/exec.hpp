@@ -40,17 +40,12 @@ Status forward_all(InstPtr& root, const Journal& journal, Rng& rng,
 Status inverse_all(InstPtr& root, const Journal& journal,
                    InstPool* pool = nullptr);
 
-/// Deep-copies a wire subtree and inverts every journal entry inside it.
-/// Serves only condition targets that are not holder tops (see
-/// invert_chain): recovering their logical value while parsing.
-Expected<InstPtr> invert_clone(const Inst& wire_subtree, const Journal& journal,
-                               InstPool* pool = nullptr);
-
-/// Deep-copies a holder's wire subtree and inverts only its lineage entries
-/// (`chain`, indices into the journal, as in HolderInfo), last first. No
-/// other journal entry can match inside a holder subtree, so the result
-/// equals invert_clone's at the cost of the chain (about one entry) rather
-/// than the whole journal.
+/// Deep-copies a traced wire subtree (a holder or condition target) and
+/// inverts only its lineage entries (`chain`, indices into the journal, as
+/// in HolderInfo), last first. No other journal entry can match inside the
+/// subtree, so the result equals inverting the whole journal over a copy
+/// (tests/transform_test.cpp checks this) at the cost of the chain, about
+/// one entry.
 Expected<InstPtr> invert_chain(const Inst& holder_subtree,
                                const Journal& journal,
                                const std::vector<std::size_t>& chain,

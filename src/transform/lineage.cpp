@@ -49,9 +49,23 @@ HolderTable build_holder_table(const Graph& g1, const Journal& journal) {
     const Node& n = g1.node(id);
     if (n.type != NodeType::Terminal) continue;
     if (g1.is_length_target(id) || g1.is_counter_target(id)) {
-      table.native.push_back(id);
       table.holders.push_back(trace(id, 0, journal));
     }
+  }
+
+  // Condition targets: fields of G1 an Optional's presence depends on,
+  // each traced once (a length/count holder above already is).
+  for (NodeId id : g1.dfs_order()) {
+    const Node& n = g1.node(id);
+    if (n.type != NodeType::Optional ||
+        n.condition.kind == Condition::Kind::Always) {
+      continue;
+    }
+    const NodeId ref = n.condition.ref;
+    const bool traced =
+        std::any_of(table.holders.begin(), table.holders.end(),
+                    [&](const HolderInfo& h) { return h.origin == ref; });
+    if (!traced) table.holders.push_back(trace(ref, 0, journal));
   }
 
   // Created holders: BoundaryChange length fields and RepSplit count fields.

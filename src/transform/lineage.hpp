@@ -8,6 +8,9 @@
 //     (Modbus length/quantity fields, HTTP Content-Length style fields);
 //   * created: the length fields inserted by BoundaryChange and the count
 //     fields inserted by RepSplit.
+// The table also traces every condition target — a G1 field an Optional's
+// presence depends on (HTTP's method, Modbus's function code) — so the
+// parser reads every reference, not only holders, through its chain.
 //
 // Transformations freely apply *on top of* holders (the paper's "more
 // dependencies between fields" challenge). The lineage of a holder is the
@@ -17,9 +20,9 @@
 // rerun_chain). The serializer uses this to fix up every holder once the
 // final wire sizes are known. Inverting the same chain (invert_chain)
 // recovers a holder's logical value: the serializer's fixpoint asks it
-// whether a holder needs a rebuild at all, and the parser reads lengths
-// and counts through it. Nothing outside the chain lands inside the
-// holder's subtree, so the rest of the journal never needs to run there.
+// whether a holder needs a rebuild at all, and the parser reads lengths,
+// counts and conditions through it. Nothing outside the chain lands inside
+// the traced subtree, so the rest of the journal never needs to run there.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +43,6 @@ struct HolderInfo {
 struct HolderTable {
   std::vector<HolderInfo> holders;
   std::unordered_map<NodeId, std::size_t> by_top;  // wire top -> index
-  std::vector<NodeId> native;  // native holders (subset of origins)
 
   const HolderInfo* find_by_top(NodeId top) const {
     const auto it = by_top.find(top);
@@ -48,8 +50,9 @@ struct HolderTable {
   }
 };
 
-/// Scans the journal and computes every holder's origin, final wire top and
-/// replay chain. `g1` is the pre-obfuscation graph.
+/// Scans the journal and computes the origin, final wire top and replay
+/// chain of every holder and condition target. `g1` is the pre-obfuscation
+/// graph.
 HolderTable build_holder_table(const Graph& g1, const Journal& journal);
 
 }  // namespace protoobf

@@ -7,16 +7,15 @@
 //      NOT. Spec-reachable findings are crafted as spec text; the
 //      artifact-integrity errors (PO-E004/E005/E006) cannot come out of a
 //      validated engine run, so those use analyze_parts() with hand-built
-//      corrupt graphs/journals/holder tables; PO-E999 is forced through
-//      detail::cross_check with deliberately skewed inputs.
+//      corrupt graphs/journals/holder tables.
 //
 //   2. Clean sweeps — every spec the repo ships (specs/ directory, the
 //      fuzzer's registry, the protocol library, every crasher-corpus
 //      compile) must lint with zero error-severity findings, at identity
 //      and at obfuscation depth across seeds. Each sweep compile also
-//      cross-checks the analyzer's min-need and stream verdict against the
-//      runtime predicates directly (the same disagreement PO-E999 would
-//      report, asserted explicitly so a failure names the spec).
+//      checks the shared min-need against real wire: every serialized
+//      message is at least min_wire_size() long, and on stream-safe
+//      compilations every shorter prefix of one parses as Truncated.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -28,10 +27,12 @@
 
 #include "analysis/analyzer.hpp"
 #include "core/protoobf.hpp"
+#include "fuzz/random_message.hpp"
 #include "fuzz/runner.hpp"
 #include "fuzz_support.hpp"
 #include "protocols/modbus.hpp"
 #include "runtime/parse.hpp"
+#include "runtime/workspace.hpp"
 #include "transform/lineage.hpp"
 #include "util/bytes.hpp"
 
@@ -410,11 +411,34 @@ TEST(AnalysisGolden, W106FiresOnTrailingEndTerminalAndMatchesRuntime) {
   const auto report = lint_spec(fuzztest::kTortureSpec);
   ASSERT_TRUE(report.has("PO-W106")) << ids_of(report);
   EXPECT_FALSE(report.is_stream_safe);
-  // The verdict must agree with the runtime predicate — a disagreement
-  // would additionally surface as PO-E999.
-  EXPECT_FALSE(report.has("PO-E999")) << ids_of(report);
   Graph g = load(fuzztest::kTortureSpec);
   EXPECT_FALSE(stream_safe(g).ok());
+}
+
+TEST(AnalysisGolden, W106FiresOncePerViolationAndRuntimeNamesTheFirst) {
+  // Two stream-open nodes that cannot delimit themselves: a split half,
+  // then a terminal that runs to the end of the input.
+  Graph g("TwoOpen");
+  const NodeId head = add_terminal(g, "head", BoundaryKind::Fixed, 1);
+  const NodeId half = add_terminal(g, "half", BoundaryKind::Half);
+  const NodeId tail = add_terminal(g, "tail", BoundaryKind::End);
+  g.set_root(add_composite(g, "m", NodeType::Sequence, BoundaryKind::End,
+                           {head, half, tail}));
+  const auto report =
+      analysis::analyze_parts(g, g, Journal{}, HolderTable{});
+  std::vector<std::string> paths;
+  for (const analysis::Diagnostic& d : report.diagnostics) {
+    if (d.id == "PO-W106") paths.push_back(d.path);
+  }
+  EXPECT_EQ(paths, (std::vector<std::string>{"m.half", "m.tail"}))
+      << ids_of(report);
+  EXPECT_FALSE(report.is_stream_safe);
+  const Status runtime = stream_safe(g);
+  ASSERT_FALSE(runtime.ok());
+  EXPECT_NE(runtime.error().message.find("'half'"), std::string::npos)
+      << runtime.error().message;
+  EXPECT_EQ(runtime.error().message.find("'tail'"), std::string::npos)
+      << runtime.error().message;
 }
 
 TEST(AnalysisGolden, W106SilentOnStreamSafeSpec) {
@@ -546,36 +570,6 @@ TEST(AnalysisGolden, E006SilentWhenThePadIsOutsideEveryScan) {
   EXPECT_FALSE(report.has("PO-E006")) << ids_of(report);
 }
 
-// --- PO-E999 analysis-mismatch ----------------------------------------------
-
-TEST(AnalysisGolden, E999FiresWhenTheMinNeedsDisagree) {
-  Graph g = load(kTinySpec);
-  analysis::Report report;
-  analysis::detail::cross_check(report, g, min_wire_size(g) + 1,
-                                stream_safe(g).ok());
-  ASSERT_TRUE(report.has("PO-E999")) << ids_of(report);
-  EXPECT_NE(report.find("PO-E999")->message.find("min-need"),
-            std::string::npos);
-}
-
-TEST(AnalysisGolden, E999FiresWhenTheStreamVerdictsDisagree) {
-  Graph g = load(kTinySpec);
-  analysis::Report report;
-  analysis::detail::cross_check(report, g, min_wire_size(g),
-                                !stream_safe(g).ok());
-  ASSERT_TRUE(report.has("PO-E999")) << ids_of(report);
-  EXPECT_NE(report.find("PO-E999")->message.find("stream-safety"),
-            std::string::npos);
-}
-
-TEST(AnalysisGolden, E999SilentWhenAnalyzerAndRuntimeAgree) {
-  Graph g = load(kTinySpec);
-  analysis::Report report;
-  analysis::detail::cross_check(report, g, min_wire_size(g),
-                                stream_safe(g).ok());
-  EXPECT_TRUE(report.diagnostics.empty()) << ids_of(report);
-}
-
 // --- report plumbing --------------------------------------------------------
 
 TEST(AnalysisReport, ErrorsSortBeforeWarningsAndNotes) {
@@ -623,15 +617,43 @@ TEST(AnalysisReport, FuzzRunnerLintsTheProtocolAtConstruction) {
 
 constexpr std::uint64_t kSweepSeeds[] = {1, 2, 3, 4, 5};
 
+/// Soundness of the static minimum on real wire: serializes a few random
+/// messages of `p` and checks each is at least min_wire_size() long; on a
+/// stream-safe compilation every prefix shorter than that minimum must
+/// parse as Truncated, the "need more bytes" framers wait on.
+void expect_sound_min_need(const std::string& label,
+                           const ObfuscatedProtocol& p) {
+  const std::size_t min = min_wire_size(p.wire_graph());
+  const bool stream = stream_safe(p.wire_graph()).ok();
+  Rng rng(0x5eed);
+  Workspace ws;
+  std::size_t serialized = 0;
+  for (int attempt = 0; attempt < 16 && serialized < 4; ++attempt) {
+    const InstPtr msg = fuzz::random_message(p.original(), rng);
+    auto wire = p.serialize(*msg, rng.next_u64());
+    if (!wire) continue;  // best-effort draw the spec constrains further
+    ++serialized;
+    ASSERT_GE(wire->size(), min) << label;
+    if (!stream) continue;
+    for (std::size_t keep = 0; keep < min; ++keep) {
+      std::size_t consumed = 0;
+      auto parsed = p.parse_prefix(BytesView(*wire).first(keep), &consumed, ws);
+      ASSERT_FALSE(parsed.ok()) << label << ": prefix " << keep << " parsed";
+      EXPECT_TRUE(parsed.error().truncated())
+          << label << ": prefix " << keep << "/" << min
+          << " reported malformed: " << parsed.error().message;
+    }
+  }
+  EXPECT_GT(serialized, 0u) << label << ": no random message serialized";
+}
+
 /// Lints one compile and asserts the hard gate invariants: zero
-/// error-severity findings, and analyzer/runtime agreement on the two
-/// properties both sides compute.
+/// error-severity findings and a sound static minimum.
 void expect_clean(const std::string& label, const ObfuscatedProtocol& p) {
   const analysis::Report report = analysis::analyze(p);
   EXPECT_EQ(report.errors(), 0u)
       << label << ": " << analysis::render_text(report);
-  EXPECT_EQ(report.min_need, min_wire_size(p.wire_graph())) << label;
-  EXPECT_EQ(report.is_stream_safe, stream_safe(p.wire_graph()).ok()) << label;
+  expect_sound_min_need(label, p);
 }
 
 void sweep_spec(const std::string& label, std::string_view spec,
@@ -640,8 +662,12 @@ void sweep_spec(const std::string& label, std::string_view spec,
   const analysis::Report identity = analysis::analyze_graph(g1);
   EXPECT_EQ(identity.errors(), 0u)
       << label << " (identity): " << analysis::render_text(identity);
-  EXPECT_EQ(identity.min_need, min_wire_size(g1)) << label;
-  EXPECT_EQ(identity.is_stream_safe, stream_safe(g1).ok()) << label;
+  ObfuscationConfig identity_cfg;
+  identity_cfg.per_node = 0;
+  auto identity_protocol = Framework::generate(g1, identity_cfg);
+  ASSERT_TRUE(identity_protocol.ok())
+      << label << ": " << identity_protocol.error().message;
+  expect_sound_min_need(label + " (identity)", *identity_protocol);
   if (per_node <= 0) return;
   for (const std::uint64_t seed : kSweepSeeds) {
     ObfuscationConfig cfg;

@@ -84,8 +84,9 @@ TEST(ParseTaxonomy, TruncatedInputIsClassifiedTruncated) {
   // Every proper prefix is merely truncated: more bytes could complete it.
   Workspace ws;
   for (std::size_t keep = 0; keep < wire.size(); ++keep) {
+    std::size_t consumed = 0;
     auto parsed =
-        protocol->parse_prefix(BytesView(wire).first(keep), nullptr, ws);
+        protocol->parse_prefix(BytesView(wire).first(keep), &consumed, ws);
     ASSERT_FALSE(parsed.ok()) << "prefix of " << keep << " parsed";
     EXPECT_TRUE(parsed.error().truncated())
         << "prefix " << keep << "/" << wire.size() << " reported malformed: "

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <map>
+#include <set>
 
 #include "ast/ast.hpp"
 #include "core/protoobf.hpp"
@@ -373,7 +374,7 @@ m: seq end {
   auto rebuilt = rerun_chain(len, Bytes{0x00, 0x20}, journal, info.chain,
                              replay);
   ASSERT_TRUE(rebuilt.ok());
-  auto logical = invert_clone(**rebuilt, journal);
+  auto logical = invert_chain(**rebuilt, journal, info.chain);
   ASSERT_TRUE(logical.ok());
   EXPECT_EQ((*logical)->value, (Bytes{0x00, 0x20}));
 }
@@ -397,11 +398,12 @@ m: seq end {
   EXPECT_TRUE(table.holders[0].chain.empty());
 }
 
-// Inverting only a holder's lineage chain recovers exactly what inverting
-// the whole journal over its subtree does: the holder fixpoint and the wire
-// parser rely on it. Checked on every holder-top instance of real
-// serialize-side wire trees (canonicalize, forward_all, fix_holders) for
-// HTTP and Modbus requests and responses across obfuscation levels.
+// Inverting only a traced lineage chain recovers exactly what inverting the
+// whole journal over a copy of the subtree does: the holder fixpoint and
+// the wire parser rely on it. Checked on every holder-top and
+// condition-target instance of real serialize-side wire trees
+// (canonicalize, forward_all, fix_holders) for HTTP and Modbus requests
+// and responses across obfuscation levels.
 TEST(Lineage, ChainInversionMatchesWholeJournalInversion) {
   using MakeFn = Message (*)(const Graph&, Rng&);
   const std::pair<std::string_view, MakeFn> protocols[] = {
@@ -410,8 +412,15 @@ TEST(Lineage, ChainInversionMatchesWholeJournalInversion) {
       {modbus::request_spec(), modbus::random_request},
       {modbus::response_spec(), modbus::random_response},
   };
+  const auto whole_journal_inversion = [](const Inst& subtree,
+                                         const Journal& journal) {
+    InstPtr copy = ast::copy(nullptr, subtree);
+    const Status s = inverse_all(copy, journal);
+    return std::make_pair(s, std::move(copy));
+  };
   std::size_t compared = 0;
   std::size_t with_chain = 0;
+  std::size_t conditions = 0;
   for (const auto& [spec_text, make] : protocols) {
     const Graph g1 = spec(spec_text);
     for (int per_node = 0; per_node <= 4; ++per_node) {
@@ -426,6 +435,20 @@ TEST(Lineage, ChainInversionMatchesWholeJournalInversion) {
             build_holder_table(protocol->original(), journal);
         const std::vector<NodeId> holders =
             canonical_holder_ids(protocol->original());
+        // Every condition the parser evaluates names a traced wire top.
+        std::set<NodeId> condition_refs;
+        const Graph& wire = protocol->wire_graph();
+        for (const NodeId id : wire.dfs_order()) {
+          const Node& n = wire.node(id);
+          if (n.type != NodeType::Optional ||
+              n.condition.kind == Condition::Kind::Always) {
+            continue;
+          }
+          condition_refs.insert(n.condition.ref);
+          EXPECT_NE(table.find_by_top(n.condition.ref), nullptr)
+              << "untraced condition target '" << n.name << "' per_node "
+              << per_node << " seed " << seed;
+        }
         Workspace ws;  // outlives every tree below: rebuilds draw from it
         Rng rng(seed * 31 + static_cast<std::uint64_t>(per_node));
         for (int m = 0; m < 10; ++m) {
@@ -443,17 +466,20 @@ TEST(Lineage, ChainInversionMatchesWholeJournalInversion) {
           const auto visit = [&](const auto& self, const Inst& inst) -> void {
             if (const HolderInfo* info = table.find_by_top(inst.schema)) {
               auto chain = invert_chain(inst, journal, info->chain);
-              auto whole = invert_clone(inst, journal);
-              ASSERT_EQ(chain.ok(), whole.ok());
+              auto [whole_status, whole] =
+                  whole_journal_inversion(inst, journal);
+              ASSERT_EQ(chain.ok(), whole_status.ok());
               if (chain.ok()) {
-                EXPECT_TRUE(ast::equal(**chain, **whole))
+                EXPECT_TRUE(ast::equal(**chain, *whole))
                     << spec_text.substr(0, 40) << " per_node " << per_node
                     << " seed " << seed;
               } else {
-                EXPECT_EQ(chain.error().message, whole.error().message);
+                EXPECT_EQ(chain.error().message,
+                          whole_status.error().message);
               }
               ++compared;
               if (!info->chain.empty()) ++with_chain;
+              if (condition_refs.count(inst.schema) != 0) ++conditions;
             }
             for (const InstPtr& child : inst.children) self(self, *child);
           };
@@ -462,9 +488,11 @@ TEST(Lineage, ChainInversionMatchesWholeJournalInversion) {
       }
     }
   }
-  // The sweep must reach transformed holders, not only plain ones.
+  // The sweep must reach transformed holders, not only plain ones, and
+  // condition targets, not only holders.
   EXPECT_GT(compared, 10000u);
   EXPECT_GT(with_chain, 5000u);
+  EXPECT_GT(conditions, 1000u);
 }
 
 // --- engine ------------------------------------------------------------------

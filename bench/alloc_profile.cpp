@@ -131,12 +131,13 @@ struct PassNs {
 /// plain serialize and parse. Timing both per message puts them under the
 /// same host conditions. False on any failure, or when the replayed stages
 /// emit other bytes than serialize.
-bool time_pass(const ObfuscatedProtocol& protocol, const HolderTable& holders,
-               const std::vector<NodeId>& canon_holders,
+bool time_pass(const ObfuscatedProtocol& protocol,
                const std::vector<Message>& msgs, Workspace& ws, PassNs& ns) {
   const Graph& g1 = protocol.original();
   const Graph& wire = protocol.wire_graph();
   const Journal& journal = protocol.journal();
+  const HolderTable& holders = protocol.holders();
+  const std::vector<NodeId>& canon_holders = protocol.canonical_holders();
   for (std::size_t i = 0; i < msgs.size(); ++i) {
     const std::uint64_t msg_seed = msg_seed_of(i);
     Clock::time_point t = Clock::now();
@@ -289,17 +290,13 @@ int main(int argc, char** argv) {
     }
   });
 
-  const HolderTable holders =
-      build_holder_table(protocol.original(), protocol.journal());
-  const std::vector<NodeId> canon_holders =
-      canonical_holder_ids(protocol.original());
   Workspace stage_ws;
   PassNs best;
   best.stage.fill(std::numeric_limits<double>::infinity());
   best.end_to_end = std::numeric_limits<double>::infinity();
   for (int r = 0; r < repeats; ++r) {
     PassNs pass;
-    if (!time_pass(protocol, holders, canon_holders, msgs, stage_ws, pass)) {
+    if (!time_pass(protocol, msgs, stage_ws, pass)) {
       std::fprintf(stderr, "stage replay failed or disagreed\n");
       return 1;
     }

@@ -878,25 +878,20 @@ const Diagnostic* Report::find(std::string_view id) const {
   return nullptr;
 }
 
-Report analyze_parts(const Graph& /*original*/, const Graph& wire,
-                     const Journal& journal, const HolderTable& holders,
-                     const Options& options) {
+Report analyze_parts(const Graph& wire, const Journal& journal,
+                     const HolderTable& holders, const Options& options) {
   return Analyzer(wire, journal, holders, options).run();
 }
 
 Report analyze(const ObfuscatedProtocol& protocol, const Options& options) {
-  // The holder table is private runtime state; rebuild it the same way the
-  // runtime does, from the original graph and the journal.
-  const HolderTable holders =
-      build_holder_table(protocol.original(), protocol.journal());
-  return analyze_parts(protocol.original(), protocol.wire_graph(),
-                       protocol.journal(), holders, options);
+  return analyze_parts(protocol.wire_graph(), protocol.journal(),
+                       protocol.holders(), options);
 }
 
 Report analyze_graph(const Graph& g1, const Options& options) {
   const Journal empty;
   const HolderTable holders = build_holder_table(g1, empty);
-  return analyze_parts(g1, g1, empty, holders, options);
+  return analyze_parts(g1, empty, holders, options);
 }
 
 bool datagram_safe(const Graph& wire, std::size_t mtu) {
@@ -904,7 +899,7 @@ bool datagram_safe(const Graph& wire, std::size_t mtu) {
   options.datagram_mtu = mtu;
   const Journal empty;
   const HolderTable holders;
-  return analyze_parts(wire, wire, empty, holders, options).is_datagram_safe;
+  return analyze_parts(wire, empty, holders, options).is_datagram_safe;
 }
 
 }  // namespace protoobf::analysis

@@ -86,8 +86,8 @@ struct Report {
   bool has(std::string_view id) const { return find(id) != nullptr; }
 };
 
-/// Analyzes a compiled protocol (wire graph + journal; the holder table is
-/// rebuilt from them, exactly as the runtime does).
+/// Analyzes a compiled protocol: its wire graph, journal and the runtime's
+/// own holder table.
 Report analyze(const ObfuscatedProtocol& protocol, const Options& options = {});
 
 /// Analyzes a bare validated graph as its own wire syntax (the identity
@@ -97,9 +97,8 @@ Report analyze_graph(const Graph& g1, const Options& options = {});
 /// Fully explicit variant: lets tests and tools hand the analyzer a
 /// *corrupt* artifact (a journal or holder table that no engine run would
 /// produce) to exercise the artifact-integrity diagnostics.
-Report analyze_parts(const Graph& original, const Graph& wire,
-                     const Journal& journal, const HolderTable& holders,
-                     const Options& options = {});
+Report analyze_parts(const Graph& wire, const Journal& journal,
+                     const HolderTable& holders, const Options& options = {});
 
 /// The ROADMAP's cousin of stream_safe(): true when every message of
 /// `wire` is statically guaranteed to fit one datagram of `mtu` bytes, so

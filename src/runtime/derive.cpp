@@ -67,6 +67,17 @@ Status collect_pairs(const Graph& graph, Inst& root,
       scopes);
 }
 
+/// The value `pair` derives: the measured instance's element count, or the
+/// size of its serialization, emitted into `measured` (capacity reused).
+Expected<std::uint64_t> measure(const Graph& graph, const DeriveRef& pair,
+                                Bytes& measured) {
+  if (pair.is_counter) return pair.measured->children.size();
+  if (Status s = emit_into(graph, *pair.measured, measured); !s) {
+    return Unexpected(s.error());
+  }
+  return measured.size();
+}
+
 /// The memo entry of `holder` in this fix_holders() call, added (unknown)
 /// on first sight. Keyed by instance, not by pair index, so two pairs that
 /// share a holder see each other's rebuilds. Entries past `memo_size` keep
@@ -159,16 +170,10 @@ Status canonicalize(const Graph& g1, Inst& root,
     if (Status s = collect_pairs(g1, root, pairs, ws.scopes()); !s) return s;
     bool changed = false;
     for (const DeriveRef& pair : pairs) {
-      std::uint64_t value = 0;
-      if (pair.is_counter) {
-        value = pair.measured->children.size();
-      } else {
-        auto size = emitted_size(g1, *pair.measured);
-        if (!size) return Unexpected(size.error());
-        value = *size;
-      }
+      auto value = measure(g1, pair, scratch.measured);
+      if (!value) return Unexpected(value.error());
       if (Status s = encode_holder_into(encoded, g1, pair.holder->schema,
-                                        value);
+                                        *value);
           !s) {
         return s;
       }
@@ -195,20 +200,14 @@ Status fix_holders(const Graph& wire, const Journal& journal,
     bool changed = false;
     for (std::size_t k = 0; k < pairs.size(); ++k) {
       const DeriveRef& pair = pairs[k];
-      std::uint64_t value = 0;
-      if (pair.is_counter) {
-        value = pair.measured->children.size();
-      } else {
-        auto size = emitted_size(wire, *pair.measured);
-        if (!size) return Unexpected(size.error());
-        value = *size;
-      }
+      auto value = measure(wire, pair, scratch.measured);
+      if (!value) return Unexpected(value.error());
       const HolderInfo* info = table.find_by_top(pair.holder->schema);
       if (info == nullptr) {
         return Unexpected("no lineage for holder '" +
                           wire.node(pair.holder->schema).name + "'");
       }
-      if (Status s = encode_holder_into(encoded, wire, info->origin, value);
+      if (Status s = encode_holder_into(encoded, wire, info->origin, *value);
           !s) {
         return s;
       }

@@ -61,6 +61,7 @@ struct DeriveScratch {
   std::vector<DeriveRef> pairs;  // fixpoint work list
   std::vector<Inst*> matches;    // canonicalize() placeholder targets
   Bytes encoded;                 // holder-encoding buffer
+  Bytes measured;                // emit_into() target for length measurement
   // fix_holders() logical-value memo: entries [0, memo_size) belong to the
   // running call (reset at its start); the rest keep their buffers.
   std::vector<HolderMemo> memo;
@@ -82,10 +83,11 @@ Status check_presence(const Graph& graph, Inst& root, Workspace& ws);
 std::vector<NodeId> canonical_holder_ids(const Graph& g1);
 
 /// Logical derivation: consts + length/count holders per G1 semantics.
-/// Size measurements run through the counting emitter, so no intermediate
-/// buffer is ever materialized. `holder_ids` must equal
-/// canonical_holder_ids(g1); the fixpoint walks and work vectors run on
-/// `ws`'s scope table and derive scratch.
+/// A length is the size of the measured subtree emitted by emit_into() into
+/// `ws`'s derive scratch, whose capacity is reused across measurements, so
+/// sizes and validation errors are exactly the real emission's.
+/// `holder_ids` must equal canonical_holder_ids(g1); the fixpoint walks and
+/// work vectors run on `ws`'s scope table and derive scratch.
 Status canonicalize(const Graph& g1, Inst& root,
                     const std::vector<NodeId>& holder_ids, Workspace& ws);
 

@@ -9,8 +9,10 @@
 //   * mirrored nodes (ReadFromEnd) reverse their whole serialized region.
 //
 // The same routine serializes logical trees against G1 (the non-obfuscated
-// baseline and the size oracle for derived fields) and wire trees against
-// G(n+1).
+// baseline) and wire trees against G(n+1), and it is the size oracle for
+// derived fields: the derive fixpoints emit each measured subtree into
+// workspace scratch and take its size, so a measured length and its
+// validation errors are those of the real emission by construction.
 #pragma once
 
 #include <vector>
@@ -29,25 +31,11 @@ struct FieldSpan {
   std::size_t length = 0;
 };
 
-/// Serializes `root` against `graph`. On request, records where each
-/// terminal landed (mirror-adjusted).
-Expected<Bytes> emit(const Graph& graph, const Inst& root,
-                     std::vector<FieldSpan>* spans = nullptr);
-
-/// Serializes into `out`, replacing its contents but reusing its capacity —
-/// the zero-allocation path for sessions that serialize many messages
-/// through one buffer. `spans`, when given, is likewise overwritten.
+/// Serializes `root` against `graph` into `out`, replacing its contents but
+/// reusing its capacity, so a caller that serializes many messages through
+/// one buffer allocates nothing in steady state. On request, records where
+/// each terminal landed (mirror-adjusted); `spans` is likewise overwritten.
 Status emit_into(const Graph& graph, const Inst& root, Bytes& out,
                  std::vector<FieldSpan>* spans = nullptr);
-
-/// Size of the serialization without materializing any bytes: a counting
-/// walk over the tree that performs every validation a real emission would
-/// (fixed-size mismatches, delimiter containment, stop-marker collisions,
-/// empty repetition elements) by streaming values through incremental
-/// matchers instead of writing a buffer. Returns exactly the size (and
-/// exactly the errors, in the same order) that emit() would produce —
-/// derive's fixpoint loops call this many times per message, so it must
-/// neither write nor allocate per byte.
-Expected<std::size_t> emitted_size(const Graph& graph, const Inst& root);
 
 }  // namespace protoobf

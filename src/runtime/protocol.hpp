@@ -43,6 +43,15 @@ class ObfuscatedProtocol {
   const Journal& journal() const { return journal_; }
   const ObfuscationStats& stats() const { return stats_; }
 
+  /// Wire holder table (build_holder_table(original(), journal())), built
+  /// once at construction.
+  const HolderTable& holders() const { return holders_; }
+
+  /// canonical_holder_ids(original()), built once at construction.
+  const std::vector<NodeId>& canonical_holders() const {
+    return canon_holders_;
+  }
+
   /// Serializes a logical message (an instance of G1). `msg_seed` drives the
   /// per-message randomness (split halves, pad bytes): the same message with
   /// a different seed produces a different wire image. Optional `spans`
@@ -106,7 +115,7 @@ class ObfuscatedProtocol {
   Journal journal_;
   ObfuscationStats stats_;
   HolderTable holders_;
-  std::vector<NodeId> canon_holders_;  // canonical_holder_ids(original_)
+  std::vector<NodeId> canon_holders_;
 };
 
 }  // namespace protoobf

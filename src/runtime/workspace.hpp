@@ -44,8 +44,9 @@ class Workspace {
   /// Reusable reference-scope table (reset per walk).
   ScopeChain& scopes() { return scopes_; }
 
-  /// Reusable derive-fixpoint scratch (pairs/matches/encoded work vectors
-  /// and the holder memo of canonicalize()/fix_holders()).
+  /// Reusable derive-fixpoint scratch (pairs/matches/encoded work vectors,
+  /// the length-measurement buffer and the holder memo of
+  /// canonicalize()/fix_holders()).
   DeriveScratch& derive() { return derive_; }
 
   /// AST node pool backing parse trees and serialize workspace copies.

@@ -46,14 +46,12 @@ Expected<BytesView> Session::serialize(const Inst& message,
   const std::uint64_t t0 = maybe_start_sample(
       obs::SessionMetrics::Direction::Serialize);
   Bytes& wire = workspace_.wire();
-  wire_hint_.reserve(wire);
   if (Status s = protocol_->serialize_into(message, msg_seed, wire,
                                            workspace_, spans);
       !s) {
     m.serialize_errors.add(1);
     return Unexpected(s.error());
   }
-  wire_hint_.note(wire.size());
   finish_serialize(m, t0, wire.capacity());
   return BytesView(wire);
 }
@@ -76,14 +74,12 @@ Expected<Bytes> Session::serialize_one(Workspace& ws,
   const std::uint64_t t0 = maybe_start_sample(
       obs::SessionMetrics::Direction::Serialize);
   Bytes& wire = ws.wire();
-  wire_hint_.reserve(wire);
   if (Status s = protocol_->serialize_into(*item.message, item.msg_seed, wire,
                                            ws);
       !s) {
     m.serialize_errors.add(1);
     return Unexpected(s.error());
   }
-  wire_hint_.note(wire.size());
   finish_serialize(m, t0, wire.capacity());
   // The workspace buffer is reused for the next item; the result is a
   // right-sized copy the caller owns.

@@ -16,7 +16,6 @@
 // cached protocol and the worker pool — are safe to share across sessions.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <span>
 #include <vector>
@@ -26,37 +25,6 @@
 #include "session/worker_pool.hpp"
 
 namespace protoobf {
-
-/// Cross-workspace EWMA of recently emitted sizes. One buffer's own
-/// capacity already remembers its personal high-water mark, so a
-/// *per-workspace* hint would never reserve anything new; the value of the
-/// hint is sharing it across a session's workspaces — the single-message
-/// path, every batch shard, and the channel frame path — so a cold
-/// workspace's first message reserves the size its siblings established
-/// instead of doubling its way up. Atomic because batch shards note sizes
-/// from worker threads; races just make the hint slightly stale, which is
-/// harmless.
-class SizeHint {
- public:
-  /// Records an emitted size: rises to a larger size instantly, decays a
-  /// quarter of the gap toward a smaller one — a burst of large messages
-  /// is covered immediately, one small message barely moves the hint.
-  void note(std::size_t size) {
-    const std::size_t prev = hint_.load(std::memory_order_relaxed);
-    const std::size_t next = size >= prev ? size : prev - (prev - size) / 4;
-    hint_.store(next, std::memory_order_relaxed);
-  }
-
-  std::size_t get() const { return hint_.load(std::memory_order_relaxed); }
-
-  /// Pre-sizes `buffer` for the next emission (no-op with no history).
-  void reserve(Bytes& buffer) const { buffer.reserve(get()); }
-
-  void reset() { hint_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::size_t> hint_{0};
-};
 
 /// One message of a serialization batch. `message` must outlive the call.
 struct BatchItem {
@@ -113,13 +81,6 @@ class Session {
   /// The worker pool batches shard over, or null when batches run inline.
   WorkerPool* pool() const { return pool_; }
 
-  /// Shared emitted-size hints: every serialize path notes its result and
-  /// pre-reserves from it, so a cold batch shard (or the channel frame
-  /// buffer) starts at the capacity its siblings established instead of
-  /// growing through doublings. Channel::send uses frame_hint().
-  SizeHint& wire_hint() { return wire_hint_; }
-  SizeHint& frame_hint() { return frame_hint_; }
-
  private:
   Expected<Bytes> serialize_one(Workspace& ws, const BatchItem& item);
 
@@ -127,8 +88,6 @@ class Session {
   WorkerPool* pool_;
   Workspace workspace_;            // single-message path
   std::vector<Workspace> shards_;  // one per batch shard
-  SizeHint wire_hint_;             // shared across all workspaces above
-  SizeHint frame_hint_;            // for the channel framing layer
 };
 
 }  // namespace protoobf

@@ -6,11 +6,9 @@ Expected<BytesView> Channel::send(const Inst& message, std::uint64_t msg_seed) {
   auto wire = session_.serialize(message, msg_seed);
   if (!wire) return Unexpected(wire.error());
   Bytes& frame = session_.workspace().frame();
-  session_.frame_hint().reserve(frame);
   if (Status s = framer_.encode(*wire, frame); !s) {
     return Unexpected(s.error());
   }
-  session_.frame_hint().note(frame.size());
   return BytesView(frame);
 }
 

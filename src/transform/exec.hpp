@@ -7,7 +7,7 @@
 // never needs to be recorded: the inverse operations eliminate it.
 //
 // Every operation satisfies inverse(forward(t)) == t by construction
-// (tested exhaustively in tests/transform_exec_test.cpp).
+// (tested exhaustively in tests/transform_test.cpp).
 #pragma once
 
 #include "ast/ast.hpp"

@@ -4,10 +4,10 @@
 // and parses without growing the node pool (zero freelist misses) while
 // staying byte-identical to the plain ObfuscatedProtocol calls, that plain
 // results stay heap-owned although the plain calls run on a thread-local
-// Workspace, and that the counting emitter measures exactly what a
-// materializing emission would produce. These tests pin those properties
-// so a future change cannot silently reintroduce per-message heap churn,
-// divergence or pool-backed plain results.
+// Workspace, and that the derive fixpoints' length-measurement buffer is
+// reused across messages. These tests pin those properties so a future
+// change cannot silently reintroduce per-message heap churn, divergence or
+// pool-backed plain results.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -27,7 +27,6 @@
 #include "core/protoobf.hpp"
 #include "protocols/http.hpp"
 #include "protocols/modbus.hpp"
-#include "runtime/emit.hpp"
 #include "session/protocol_cache.hpp"
 #include "session/session.hpp"
 
@@ -282,137 +281,44 @@ TEST(PlainApi, ResultSurvivesLaterPlainCalls) {
   EXPECT_TRUE(ast::equal(**kept, *canonical_of(protocol, first.root())));
 }
 
-// --- counting emitter -------------------------------------------------------
+// --- length-measurement buffer ---------------------------------------------
 
-TEST(CountingEmitter, MatchesMaterializedSizeOnWireTrees) {
-  // Compare the counting emitted_size() against a real emission over both
-  // logical and fully transformed wire trees (mirrors, splits, pads, the
-  // whole zoo) across obfuscation levels.
-  for (const bool http : {true, false}) {
-    for (int per_node = 0; per_node <= 3; ++per_node) {
-      auto g = Framework::load_spec(http ? http::request_spec()
-                                         : modbus::request_spec());
-      ASSERT_TRUE(g.ok());
-      auto protocol =
-          ObfuscatedProtocol::create(*g, config_of(100 + per_node, per_node));
-      ASSERT_TRUE(protocol.ok()) << protocol.error().message;
-
-      Rng rng(5);
-      for (std::size_t i = 0; i < 8; ++i) {
-        Message msg = http ? http::random_request(protocol->original(), rng)
-                           : modbus::random_request(protocol->original(), rng);
-        ASSERT_TRUE(protocol->canonicalize(msg.root()).ok());
-
-        auto size = emitted_size(protocol->original(), msg.root());
-        auto bytes = emit(protocol->original(), msg.root());
-        ASSERT_TRUE(size.ok()) << size.error().message;
-        ASSERT_TRUE(bytes.ok()) << bytes.error().message;
-        EXPECT_EQ(*size, bytes->size());
-
-        auto wire = protocol->serialize(msg.root(), msg_seed_of(i));
-        ASSERT_TRUE(wire.ok()) << wire.error().message;
-        // Wire image size must equal what the counting emitter would have
-        // predicted for the transformed tree — serialize's own fixpoints
-        // already relied on it, so a mismatch would have failed above, but
-        // pin the round number explicitly.
-        EXPECT_GT(wire->size(), 0u);
-      }
-    }
-  }
-}
-
-TEST(CountingEmitter, MirroredWireTreesRoundTrip) {
-  // ReadFromEnd is the hard case for the counting emitter's streaming
-  // validation (reversed regions, delimiters fed backwards). Force it on
-  // every node and verify the serialize fixpoints — which lean on
-  // emitted_size against the mirrored wire tree — still produce
-  // parseable images.
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    auto g = Framework::load_spec(http::request_spec());
-    ASSERT_TRUE(g.ok());
-    ObfuscationConfig cfg = config_of(seed, 4);
-    cfg.enabled = {TransformKind::ReadFromEnd, TransformKind::SplitCat,
-                   TransformKind::BoundaryChange};
-    auto protocol = ObfuscatedProtocol::create(*g, cfg);
-    ASSERT_TRUE(protocol.ok()) << protocol.error().message;
-
-    Rng rng(seed);
-    for (std::size_t i = 0; i < 4; ++i) {
-      Message msg = http::random_request(protocol->original(), rng);
-      auto wire = protocol->serialize(msg.root(), msg_seed_of(i));
-      ASSERT_TRUE(wire.ok()) << wire.error().message;
-      auto back = protocol->parse(*wire);
-      ASSERT_TRUE(back.ok()) << back.error().message;
-    }
-  }
-}
-
-TEST(CountingEmitter, ReportsDelimiterContainment) {
-  constexpr std::string_view kDelimSpec = R"spec(
-protocol Delim
-
-msg: seq end {
-  body: terminal delimited("|")
-  rest: terminal end
-}
-)spec";
-  auto g = Framework::load_spec(kDelimSpec);
-  ASSERT_TRUE(g.ok()) << g.error().message;
-
-  Message msg(*g);
-  ASSERT_TRUE(msg.set("body", to_bytes("ab|cd")).ok());
-  ASSERT_TRUE(msg.set("rest", to_bytes("xy")).ok());
-
-  auto size = emitted_size(*g, msg.root());
-  auto bytes = emit(*g, msg.root());
-  ASSERT_FALSE(size.ok());
-  ASSERT_FALSE(bytes.ok());
-  EXPECT_EQ(size.error().message, bytes.error().message);
-}
-
-// --- shared emitted-size hints ----------------------------------------------
-
-TEST(SizeHint, RisesInstantlyDecaysSlowly) {
-  SizeHint hint;
-  EXPECT_EQ(hint.get(), 0u);
-  hint.note(4096);
-  EXPECT_EQ(hint.get(), 4096u);
-  hint.note(8192);  // larger: covered immediately
-  EXPECT_EQ(hint.get(), 8192u);
-  hint.note(0);  // smaller: only a quarter of the gap
-  EXPECT_EQ(hint.get(), 6144u);
-}
-
-TEST(SizeHint, SeedsColdWorkspacesFromSiblingTraffic) {
-  constexpr std::string_view kVarSpec = R"spec(
-protocol Var
-
-msg: seq end {
-  len: terminal fixed(2)
-  data: terminal length(len)
-}
-)spec";
+TEST(DeriveScratch, MeasurementBufferIsReusedAndShrinkReleasesIt) {
+  // The derive fixpoints measure lengths by emitting the measured subtree
+  // into the workspace's DeriveScratch::measured. Once warm, that buffer
+  // keeps one capacity and the node pool stops growing; shrink() hands the
+  // buffer's memory back.
   ProtocolCache cache;
-  auto entry = cache.get_or_compile(kVarSpec, config_of(3, 0));
+  auto entry = cache.get_or_compile(modbus::request_spec(), config_of(11, 4));
   ASSERT_TRUE(entry.ok()) << entry.error().message;
+  const ObfuscatedProtocol& protocol = **entry;
 
+  Rng rng(42);
+  std::vector<Message> msgs;
+  for (std::size_t i = 0; i < 16; ++i) {
+    msgs.push_back(modbus::random_request(protocol.original(), rng));
+  }
   Session session(*entry);
+  const auto serialize_all = [&] {
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+      ASSERT_TRUE(session.serialize(msgs[i].root(), msg_seed_of(i)).ok());
+    }
+  };
 
-  // A large message through the single-message workspace sets the hint.
-  Message big((*entry)->original());
-  ASSERT_TRUE(big.set("data", Bytes(2000, 0x55)).ok());
-  ASSERT_TRUE(session.serialize(big.root(), 1).ok());
-  EXPECT_GE(session.wire_hint().get(), 2000u);
+  Workspace& ws = session.workspace();
+  for (int round = 0; round < 2; ++round) serialize_all();
+  const std::size_t warm_capacity = ws.derive().measured.capacity();
+  const InstPool::Stats warm = ws.nodes().stats();
+  EXPECT_GT(warm_capacity, 0u);
 
-  // A small message through the (cold, distinct) batch-shard workspace must
-  // pre-reserve that capacity even though it only emits a few bytes.
-  Message small((*entry)->original());
-  ASSERT_TRUE(small.set("data", to_bytes("hi")).ok());
-  const BatchItem item{&small.root(), 2};
-  auto results = session.serialize_batch(std::span<const BatchItem>(&item, 1));
-  ASSERT_EQ(results.size(), 1u);
-  ASSERT_TRUE(results[0].ok()) << results[0].error().message;
-  EXPECT_GE(session.shard_workspace(0).wire().capacity(), 2000u);
+  for (int round = 0; round < 4; ++round) serialize_all();
+  EXPECT_EQ(ws.derive().measured.capacity(), warm_capacity);
+  EXPECT_EQ(ws.nodes().stats().misses, warm.misses)
+      << "steady-state session serialize grew the node pool";
+
+  ws.shrink();
+  EXPECT_EQ(ws.derive().measured.capacity(), 0u);
+  serialize_all();  // a shrunk workspace serializes again from cold
 }
 
 }  // namespace

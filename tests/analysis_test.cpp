@@ -399,7 +399,7 @@ TEST(AnalysisGolden, W105FiresWhenObfuscationLeavesAStaticFingerprint) {
   t.key = Bytes{0x5a};
   const Journal journal{t};
   const auto report =
-      analysis::analyze_parts(g, g, journal, HolderTable{});
+      analysis::analyze_parts(g, journal, HolderTable{});
   ASSERT_TRUE(report.has("PO-W105")) << ids_of(report);
   EXPECT_FALSE(report.has("PO-N203"));
   EXPECT_EQ(report.find("PO-W105")->path, "m.magic");
@@ -425,7 +425,7 @@ TEST(AnalysisGolden, W106FiresOncePerViolationAndRuntimeNamesTheFirst) {
   g.set_root(add_composite(g, "m", NodeType::Sequence, BoundaryKind::End,
                            {head, half, tail}));
   const auto report =
-      analysis::analyze_parts(g, g, Journal{}, HolderTable{});
+      analysis::analyze_parts(g, Journal{}, HolderTable{});
   std::vector<std::string> paths;
   for (const analysis::Diagnostic& d : report.diagnostics) {
     if (d.id == "PO-W106") paths.push_back(d.path);
@@ -482,7 +482,7 @@ TEST(AnalysisGolden, E004FiresOnOutOfRangeChainIndex) {
   h.top = h.origin;
   h.chain = {3};  // journal is empty: index 3 cannot exist
   ht.holders.push_back(h);
-  const auto report = analysis::analyze_parts(g, g, Journal{}, ht);
+  const auto report = analysis::analyze_parts(g, Journal{}, ht);
   ASSERT_TRUE(report.has("PO-E004")) << ids_of(report);
   EXPECT_FALSE(report.clean());
 }
@@ -497,7 +497,7 @@ TEST(AnalysisGolden, E004FiresOnNonIncreasingChain) {
   h.top = h.origin;
   h.chain = {2, 1};
   ht.holders.push_back(h);
-  const auto report = analysis::analyze_parts(g, g, journal, ht);
+  const auto report = analysis::analyze_parts(g, journal, ht);
   ASSERT_TRUE(report.has("PO-E004")) << ids_of(report);
   EXPECT_NE(report.find("PO-E004")->message.find("strictly increasing"),
             std::string::npos);
@@ -520,7 +520,7 @@ TEST(AnalysisGolden, E005FiresOnALengthReferenceCycle) {
   g.set_root(add_composite(g, "m", NodeType::Sequence, BoundaryKind::End,
                            {a, b}));
   const auto report =
-      analysis::analyze_parts(g, g, Journal{}, HolderTable{});
+      analysis::analyze_parts(g, Journal{}, HolderTable{});
   ASSERT_TRUE(report.has("PO-E005")) << ids_of(report);
   EXPECT_FALSE(report.clean());
 }
@@ -548,7 +548,7 @@ TEST(AnalysisGolden, E006FiresWhenAPadSitsInsideAScannedRegion) {
   t.created_a = pad;
   t.pad_size = 2;
   const auto report =
-      analysis::analyze_parts(g, g, Journal{t}, HolderTable{});
+      analysis::analyze_parts(g, Journal{t}, HolderTable{});
   ASSERT_TRUE(report.has("PO-E006")) << ids_of(report);
   EXPECT_EQ(report.find("PO-E006")->path, "m.wrap.pad");
 }
@@ -566,7 +566,7 @@ TEST(AnalysisGolden, E006SilentWhenThePadIsOutsideEveryScan) {
   t.created_a = pad;
   t.pad_size = 2;
   const auto report =
-      analysis::analyze_parts(g, g, Journal{t}, HolderTable{});
+      analysis::analyze_parts(g, Journal{t}, HolderTable{});
   EXPECT_FALSE(report.has("PO-E006")) << ids_of(report);
 }
 

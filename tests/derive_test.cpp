@@ -251,8 +251,8 @@ TEST(FixHolders, ReusedScratchAcrossMessageShapesMatchesPlain) {
     cfg.seed = 2018;
     cfg.per_node = per_node;
     auto p = Framework::generate(g, cfg).value();
-    const HolderTable table = build_holder_table(p.original(), p.journal());
-    const std::vector<NodeId> holders = canonical_holder_ids(p.original());
+    const HolderTable& table = p.holders();
+    const std::vector<NodeId>& holders = p.canonical_holders();
     Workspace ws;
     for (std::size_t i = 0; i < std::size(sequence); ++i) {
       const Inst& message = sequence[i]->root();
@@ -279,6 +279,62 @@ TEST(FixHolders, ReusedScratchAcrossMessageShapesMatchesPlain) {
   }
 }
 
+TEST(Derive, MirroredWireTreesRoundTrip) {
+  // ReadFromEnd forced on every node: fix_holders measures mirrored wire
+  // subtrees (reversed regions, delimiters read backwards) and the images
+  // those lengths describe must still parse.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    ObfuscationConfig cfg;
+    cfg.seed = seed;
+    cfg.per_node = 4;
+    cfg.enabled = {TransformKind::ReadFromEnd, TransformKind::SplitCat,
+                   TransformKind::BoundaryChange};
+    auto p = Framework::generate(spec(http::request_spec()), cfg);
+    ASSERT_TRUE(p.ok()) << p.error().message;
+    ASSERT_GT(p->stats().per_kind[static_cast<std::size_t>(
+                  TransformKind::ReadFromEnd)],
+              0u);
+
+    Rng rng(seed);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      Message msg = http::random_request(p->original(), rng);
+      auto wire = p->serialize(msg.root(), 0xa110c + 31 * i);
+      ASSERT_TRUE(wire.ok()) << wire.error().message;
+      auto back = p->parse(*wire);
+      ASSERT_TRUE(back.ok()) << back.error().message;
+    }
+  }
+}
+
+TEST(Derive, MeasurementFailsWithTheEmitError) {
+  // A length measurement is a real emission of the measured region, so a
+  // region that cannot be serialized fails canonicalize() with exactly the
+  // error serializing the message reports.
+  Graph g = spec(R"(
+protocol P
+m: seq end {
+  len: terminal fixed(2)
+  region: seq length(len) {
+    body: terminal delimited("|")
+    tail: terminal fixed(1)
+  }
+}
+)");
+  Message msg(g);
+  msg.set("len", Bytes{0, 0});  // emit_into checks the holder's width
+  msg.set_text("body", "ab|cd");
+  msg.set_text("tail", "x");
+  Bytes out;
+  const Status emitted = emit_into(g, msg.root(), out);
+  ASSERT_FALSE(emitted.ok());
+  EXPECT_NE(emitted.error().message.find("contains its own delimiter"),
+            std::string::npos)
+      << emitted.error().message;
+  const Status canonical = canon(g, msg.root());
+  ASSERT_FALSE(canonical.ok());
+  EXPECT_EQ(canonical.error().message, emitted.error().message);
+}
+
 TEST(Emit, SizeMatchesBuffer) {
   Graph g = spec(R"(
 protocol P
@@ -291,12 +347,9 @@ m: seq end {
   msg.set("a", Bytes{1, 2, 3});
   msg.set_text("b", "bb");
   ASSERT_TRUE(canon(g, msg.root()).ok());
-  auto bytes = emit(g, msg.root());
-  ASSERT_TRUE(bytes.ok());
-  auto size = emitted_size(g, msg.root());
-  ASSERT_TRUE(size.ok());
-  EXPECT_EQ(*size, bytes->size());
-  EXPECT_EQ(*size, 3u + 2 + 1);
+  Bytes out(16, 0xee);  // stale contents are replaced, not appended to
+  ASSERT_TRUE(emit_into(g, msg.root(), out).ok());
+  EXPECT_EQ(out, (Bytes{1, 2, 3, 'b', 'b', '!'}));
 }
 
 TEST(Emit, RejectsRepetitionElementStartingWithStopMarker) {
@@ -312,7 +365,12 @@ m: seq end {
   msg.set_text("lines[0].line", "");  // empty line -> element starts with $
   msg.set_text("rest", "x");
   ASSERT_TRUE(canon(g, msg.root()).ok());
-  EXPECT_FALSE(emit(g, msg.root()).ok());
+  Bytes out;
+  const Status emitted = emit_into(g, msg.root(), out);
+  ASSERT_FALSE(emitted.ok());
+  EXPECT_NE(emitted.error().message.find("starts with the stop marker"),
+            std::string::npos)
+      << emitted.error().message;
 }
 
 }  // namespace

@@ -13,16 +13,16 @@
 //   parse/channel@N      feed the concatenated framed stream in N-byte
 //                        chunks, Channel::drain_batch() per chunk
 //
-// Plus the adversarial scenario ISSUE 5 closes: a *delimiter-bounded*
-// frame spec (no length field anywhere) delivered one byte at a time.
-// The resumable prefix parse must keep decode work amortized O(1) per
-// delivered byte, i.e. bytes-rescanned-per-frame stays O(frame size) —
-// the restart-from-zero baseline rescans O(frame²). Both modes run with
-// identical accounting and land in BENCH_stream.json.
+// Plus the adversarial scenario: a *delimiter-bounded* frame spec (no
+// length field anywhere) delivered one byte at a time. The resumable
+// prefix parse must keep decode work amortized O(1) per delivered byte,
+// i.e. bytes-rescanned-per-frame stays O(frame size) — restarting every
+// attempt from byte 0 would rescan O(frame²). The counters land in
+// BENCH_stream.json.
 //
 // The CI smoke step guards "channel/session" (whole-stream delivery) and
-// "delim-trickle rescan-ratio" (rescanned bytes per frame over frame
-// size: bounded constant with resume, ~frame/2 without).
+// "delim rescan-ratio resume" (rescanned bytes per frame over frame size:
+// a bounded constant, where restart-from-zero would sit near frame/2).
 //
 // Usage: bench_throughput_stream [messages] [repeats] [per_node] [json]
 #include <chrono>
@@ -60,7 +60,7 @@ struct TrickleResult {
   double seconds = 0;
 };
 
-TrickleResult run_delim_trickle(bool resumable, std::size_t frames,
+TrickleResult run_delim_trickle(std::size_t frames,
                                 std::size_t payload_size) {
   constexpr std::string_view kDelimFrameSpec = R"(
 protocol DelimFrame
@@ -80,7 +80,6 @@ frame: seq end {
   }
   ObfuscatedFramer::Config cfg;
   cfg.payload_path = "fbody";
-  cfg.resumable_decode = resumable;
   auto framer = ObfuscatedFramer::create(*framing, cfg);
   if (!framer) {
     std::fprintf(stderr, "framer create failed: %s\n",
@@ -302,27 +301,20 @@ int main(int argc, char** argv) {
               parse_channel[2].msgs_per_sec / parse_session.msgs_per_sec);
 
   // Delimiter-bounded frame spec under 1-byte delivery: the adversarial
-  // trickle. Sized small — the restart baseline is quadratic by design.
+  // trickle.
   const std::size_t trickle_frames = std::min<std::size_t>(messages, 32);
-  const TrickleResult resume_run =
-      run_delim_trickle(/*resumable=*/true, trickle_frames, 192);
-  const TrickleResult restart_run =
-      run_delim_trickle(/*resumable=*/false, trickle_frames, 192);
+  const TrickleResult resume_run = run_delim_trickle(trickle_frames, 192);
   // Rescanned bytes per frame normalized by the frame size: O(1)-per-byte
-  // decode work keeps this a small constant; restart-from-zero makes it
-  // grow with the frame itself (~frame/2). CI guards the resume ratio.
+  // decode work keeps this a small constant; restart-from-zero would make
+  // it grow with the frame itself (~frame/2). CI guards it.
   const double resume_ratio =
       resume_run.rescanned_per_frame / resume_run.frame_size;
-  const double restart_ratio =
-      restart_run.rescanned_per_frame / restart_run.frame_size;
   std::printf("  delim-trickle (frame %.0f B, 1-byte delivery, %zu frames)\n",
               resume_run.frame_size, trickle_frames);
-  std::printf("    decodes/frame:   %8.1f (resume)  %8.1f (restart)\n",
-              resume_run.decodes_per_frame, restart_run.decodes_per_frame);
-  std::printf("    rescanned/frame: %8.0f B         %8.0f B\n",
-              resume_run.rescanned_per_frame, restart_run.rescanned_per_frame);
+  std::printf("    decodes/frame:   %8.1f\n", resume_run.decodes_per_frame);
+  std::printf("    rescanned/frame: %8.0f B\n",
+              resume_run.rescanned_per_frame);
   std::printf("  delim rescan-ratio resume:  %.3fx of frame\n", resume_ratio);
-  std::printf("  delim rescan-ratio restart: %.3fx of frame\n", restart_ratio);
   std::printf("  (checksum %zu)\n", checksum);
 
   if (std::FILE* f = std::fopen(json_path, "w")) {
@@ -340,21 +332,15 @@ int main(int argc, char** argv) {
                  "  \"delim_trickle_frame_bytes\": %.0f,\n"
                  "  \"delim_trickle_frames\": %zu,\n"
                  "  \"delim_decodes_per_frame_resume\": %.1f,\n"
-                 "  \"delim_decodes_per_frame_restart\": %.1f,\n"
                  "  \"delim_rescanned_per_frame_resume\": %.0f,\n"
-                 "  \"delim_rescanned_per_frame_restart\": %.0f,\n"
-                 "  \"delim_rescan_ratio_resume\": %.3f,\n"
-                 "  \"delim_rescan_ratio_restart\": %.3f\n"
+                 "  \"delim_rescan_ratio_resume\": %.3f\n"
                  "}\n",
                  workload.name.c_str(), per_node, messages, repeats,
                  ser_session.msgs_per_sec, ser_channel.msgs_per_sec,
                  parse_session.msgs_per_sec,
                  parse_channel[2].msgs_per_sec, resume_run.frame_size,
                  trickle_frames, resume_run.decodes_per_frame,
-                 restart_run.decodes_per_frame,
-                 resume_run.rescanned_per_frame,
-                 restart_run.rescanned_per_frame, resume_ratio,
-                 restart_ratio);
+                 resume_run.rescanned_per_frame, resume_ratio);
     std::fclose(f);
     std::printf("  wrote %s\n", json_path);
   } else {

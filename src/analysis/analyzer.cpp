@@ -27,6 +27,10 @@ namespace {
 
 constexpr std::uint64_t kSat = std::numeric_limits<std::uint64_t>::max();
 
+// PO-W104: a counter whose worst-case claim exceeds this many bytes is
+// flagged as a saturation-DoS surface (the fuzzer's 0xff skew arm).
+constexpr std::uint64_t kCounterClaimLimit = std::uint64_t{1} << 20;
+
 std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
   return a > kSat - b ? kSat : a + b;
 }
@@ -115,8 +119,8 @@ struct FingerprintSpan {
 class Analyzer {
  public:
   Analyzer(const Graph& wire, const Journal& journal,
-           const HolderTable& holders, const Options& options)
-      : wire_(wire), journal_(journal), holders_(holders), options_(options) {}
+           const HolderTable& holders)
+      : wire_(wire), journal_(journal), holders_(holders) {}
 
   Report run() {
     report_.protocol = wire_.protocol_name();
@@ -466,7 +470,7 @@ class Analyzer {
            "cap the repetition with a counter");
     }
     report_.is_datagram_safe =
-        root.max_size && *root.max_size <= options_.datagram_mtu;
+        root.max_size && *root.max_size <= kDatagramMtu;
     if (!report_.is_datagram_safe) {
       const NodeId at =
           root.max_size ? wire_.root()
@@ -476,7 +480,7 @@ class Analyzer {
           root.max_size
               ? "worst-case wire size " + std::to_string(*root.max_size) +
                     " exceeds the datagram MTU (" +
-                    std::to_string(options_.datagram_mtu) + ")"
+                    std::to_string(kDatagramMtu) + ")"
               : "the wire size is statically unbounded";
       emit("PO-N201", "not-datagram-safe", Severity::Note, at,
            std::move(why) + "; one-message-per-datagram transport cannot be "
@@ -538,12 +542,12 @@ class Analyzer {
              "peer controls the parse loop",
              "give the counter a fixed-width holder");
       } else if (const std::uint64_t claim = sat_mul(*count, per);
-                 claim > options_.counter_claim_limit) {
+                 claim > kCounterClaimLimit) {
         emit("PO-W104", "counter-saturation", Severity::Warning, id,
              "a saturated counter claims " + std::to_string(*count) +
                  " elements (worst case " + std::to_string(claim) +
                  " bytes/iterations, limit " +
-                 std::to_string(options_.counter_claim_limit) + ")",
+                 std::to_string(kCounterClaimLimit) + ")",
              "narrow the counter field or bound the table inside a "
              "length-delimited region");
       }
@@ -827,7 +831,6 @@ class Analyzer {
   const Graph& wire_;
   const Journal& journal_;
   const HolderTable& holders_;
-  Options options_;
   Report report_;
   WireFacts wire_facts_;  // minimum sizes and stream violations
   std::vector<Facts> facts_;
@@ -879,27 +882,26 @@ const Diagnostic* Report::find(std::string_view id) const {
 }
 
 Report analyze_parts(const Graph& wire, const Journal& journal,
-                     const HolderTable& holders, const Options& options) {
-  return Analyzer(wire, journal, holders, options).run();
+                     const HolderTable& holders) {
+  return Analyzer(wire, journal, holders).run();
 }
 
-Report analyze(const ObfuscatedProtocol& protocol, const Options& options) {
+Report analyze(const ObfuscatedProtocol& protocol) {
   return analyze_parts(protocol.wire_graph(), protocol.journal(),
-                       protocol.holders(), options);
+                       protocol.holders());
 }
 
-Report analyze_graph(const Graph& g1, const Options& options) {
+Report analyze_graph(const Graph& g1) {
   const Journal empty;
   const HolderTable holders = build_holder_table(g1, empty);
-  return analyze_parts(g1, empty, holders, options);
+  return analyze_parts(g1, empty, holders);
 }
 
 bool datagram_safe(const Graph& wire, std::size_t mtu) {
-  Options options;
-  options.datagram_mtu = mtu;
   const Journal empty;
   const HolderTable holders;
-  return analyze_parts(wire, empty, holders, options).is_datagram_safe;
+  const auto max_wire = analyze_parts(wire, empty, holders).max_wire;
+  return max_wire && *max_wire <= mtu;
 }
 
 }  // namespace protoobf::analysis

@@ -52,13 +52,8 @@ struct Diagnostic {
   std::string hint;
 };
 
-struct Options {
-  /// PO-N201: a datagram-safe wire format fits one UDP payload (IPv4 max).
-  std::size_t datagram_mtu = 65507;
-  /// PO-W104: a counter whose worst-case claim exceeds this many bytes is
-  /// flagged as a saturation-DoS surface (the fuzzer's 0xff skew arm).
-  std::size_t counter_claim_limit = std::size_t{1} << 20;
-};
+/// PO-N201: a datagram-safe wire format fits one UDP payload (IPv4 max).
+inline constexpr std::size_t kDatagramMtu = 65507;
 
 struct Report {
   std::string protocol;
@@ -72,7 +67,7 @@ struct Report {
   std::optional<std::uint64_t> max_wire;
   /// No wire_facts() stream violation, i.e. stream_safe() succeeds.
   bool is_stream_safe = false;
-  bool is_datagram_safe = false;  // max_wire bounded and <= datagram_mtu
+  bool is_datagram_safe = false;  // max_wire bounded and <= kDatagramMtu
 
   std::size_t errors() const;
   std::size_t warnings() const;
@@ -88,22 +83,22 @@ struct Report {
 
 /// Analyzes a compiled protocol: its wire graph, journal and the runtime's
 /// own holder table.
-Report analyze(const ObfuscatedProtocol& protocol, const Options& options = {});
+Report analyze(const ObfuscatedProtocol& protocol);
 
 /// Analyzes a bare validated graph as its own wire syntax (the identity
 /// compilation: empty journal, native holders only).
-Report analyze_graph(const Graph& g1, const Options& options = {});
+Report analyze_graph(const Graph& g1);
 
 /// Fully explicit variant: lets tests and tools hand the analyzer a
 /// *corrupt* artifact (a journal or holder table that no engine run would
 /// produce) to exercise the artifact-integrity diagnostics.
 Report analyze_parts(const Graph& wire, const Journal& journal,
-                     const HolderTable& holders, const Options& options = {});
+                     const HolderTable& holders);
 
 /// The ROADMAP's cousin of stream_safe(): true when every message of
 /// `wire` is statically guaranteed to fit one datagram of `mtu` bytes, so
 /// a one-message-per-packet transport needs no reassembly state.
-bool datagram_safe(const Graph& wire, std::size_t mtu = 65507);
+bool datagram_safe(const Graph& wire, std::size_t mtu = kDatagramMtu);
 
 /// One-line verdict for log headers: "clean (0 errors, 2 warnings)" or
 /// "2 errors (PO-E001 ...)".

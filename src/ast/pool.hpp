@@ -60,6 +60,11 @@ class InstPool {
 
   const Stats& stats() const { return stats_; }
 
+  /// Bytes held by the node slabs (live and free nodes alike).
+  std::size_t slab_bytes() const {
+    return slabs_.size() * kSlabNodes * sizeof(Inst);
+  }
+
   /// Drops all idle capacity. Only complete when no nodes are live; live
   /// nodes keep their slabs pinned until they return.
   void shrink();

@@ -12,16 +12,6 @@ void TrafficCapture::record_in(BytesView chunk) {
   in_.emplace_back(chunk.begin(), chunk.end());
 }
 
-std::vector<Bytes> TrafficCapture::out_frames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return out_;
-}
-
-std::vector<Bytes> TrafficCapture::in_chunks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return in_;
-}
-
 Bytes TrafficCapture::in_stream() const {
   std::lock_guard<std::mutex> lock(mu_);
   Bytes stream;

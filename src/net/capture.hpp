@@ -38,9 +38,6 @@ class TrafficCapture {
   /// One kernel read() slice, boundaries as delivered (receiver side).
   void record_in(BytesView chunk);
 
-  std::vector<Bytes> out_frames() const;
-  std::vector<Bytes> in_chunks() const;
-
   /// The inbound capture as one contiguous stream, in arrival order.
   Bytes in_stream() const;
 

@@ -11,6 +11,10 @@
 
 namespace protoobf::net {
 
+namespace {
+constexpr std::size_t kReadChunk = 16 * 1024;  // bytes per read() slice
+}  // namespace
+
 FramerFactory length_prefix_framer_factory(LengthPrefixFramer::Config config) {
   return [config]() -> Expected<std::unique_ptr<Framer>> {
     return std::unique_ptr<Framer>(new LengthPrefixFramer(config));
@@ -40,7 +44,7 @@ Connection::Connection(EventLoop& loop, Fd fd,
       session_(std::move(protocol)),
       framer_(std::move(framer)),
       channel_(session_, *framer_) {
-  read_buf_.resize(config_.read_chunk > 0 ? config_.read_chunk : 4096);
+  read_buf_.resize(kReadChunk);
   touch();
 }
 

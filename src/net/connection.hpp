@@ -11,7 +11,7 @@
 //     high-watermark backpressure signal so producers stop queueing
 //     unboundedly against a slow peer;
 //   * read-chunk delivery — readiness-driven reads feed Channel::on_bytes
-//     in read_chunk slices, and every complete message is handed to
+//     in 16 KiB slices, and every complete message is handed to
 //     on_message (parse errors per message included: the stream continues
 //     past them, exactly as the Channel contract says);
 //   * close semantics — close() flushes the queue then closes (graceful),
@@ -58,7 +58,6 @@ FramerFactory obfuscated_framer_factory(
 class Connection {
  public:
   struct Config {
-    std::size_t read_chunk = 16 * 1024;  // bytes per read() slice
     // send() keeps accepting above this, but writable() turns false and
     // on_writable fires when the queue drains back under half of it.
     std::size_t high_watermark = 256 * 1024;
@@ -194,7 +193,7 @@ class Connection {
   std::size_t outhead_ = 0;   // consumed prefix of outbuf_
   bool want_write_ = false;   // EPOLLOUT currently armed
   bool above_watermark_ = false;
-  Bytes read_buf_;            // read() landing zone, read_chunk bytes
+  Bytes read_buf_;            // read() landing zone, one 16 KiB slice
 
   State state_ = State::Open;
   EventLoop::TimerId idle_timer_ = 0;

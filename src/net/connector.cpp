@@ -1,7 +1,6 @@
 #include "net/connector.hpp"
 
 #include <poll.h>
-#include <sys/epoll.h>
 
 #include <cstring>
 #include <thread>
@@ -81,52 +80,6 @@ Expected<std::unique_ptr<Connection>> Connector::dial(
     }
     std::this_thread::sleep_for(delay);
   }
-}
-
-void Connector::connect(const Endpoint& ep,
-                        std::shared_ptr<const ObfuscatedProtocol> protocol,
-                        std::unique_ptr<Framer> framer,
-                        Connection::Config config, ConnectHandler handler) {
-  auto fd = connect_tcp(ep);
-  if (!fd) {
-    handler(Unexpected(fd.error()));
-    return;
-  }
-
-  // Everything the completion needs, shared so the watch callback stays
-  // copyable (std::function) while owning move-only pieces.
-  struct Pending {
-    Fd fd;
-    Endpoint ep;
-    std::shared_ptr<const ObfuscatedProtocol> protocol;
-    std::unique_ptr<Framer> framer;
-    Connection::Config config;
-    ConnectHandler handler;
-  };
-  auto pending = std::make_shared<Pending>();
-  pending->fd = std::move(*fd);
-  pending->ep = ep;
-  pending->protocol = std::move(protocol);
-  pending->framer = std::move(framer);
-  pending->config = config;
-  pending->handler = std::move(handler);
-
-  const int raw = pending->fd.get();
-  EventLoop& loop = loop_;
-  const Status watched = loop.watch(
-      raw, EPOLLOUT, [&loop, raw, pending](std::uint32_t) {
-        loop.unwatch(raw);
-        if (const int err = take_socket_error(raw); err != 0) {
-          pending->handler(Unexpected(
-              "connect " + pending->ep.host + ":" +
-              std::to_string(pending->ep.port) + ": " + std::strerror(err)));
-          return;
-        }
-        pending->handler(std::make_unique<Connection>(
-            loop, std::move(pending->fd), std::move(pending->protocol),
-            std::move(pending->framer), pending->config));
-      });
-  if (!watched) pending->handler(Unexpected(watched.error()));
 }
 
 }  // namespace protoobf::net

@@ -1,16 +1,11 @@
 // Client side of the socket transport.
 //
-// Two ways to reach a server:
-//
-//   * Connector::dial() — synchronous: completes the TCP handshake (with a
-//     deadline), wraps the socket in a Connection bound to `loop`, and
-//     returns it unopened. Install handlers, then open(). The natural
-//     shape for CLIs, benches and tests that set up before the loop runs.
-//
-//   * Connector::connect() — asynchronous: starts a nonblocking connect
-//     and watches it on the loop; the handler receives the unopened
-//     Connection (or the error) on the loop thread once the handshake
-//     resolves. The natural shape for dialing out of a running server.
+// Connector::dial() completes the TCP handshake synchronously (with a
+// deadline), wraps the socket in a Connection bound to `loop`, and returns
+// it unopened. Install handlers, then open(). It suits CLIs, benches and
+// tests that set up before the loop runs; a client that must dial out of a
+// running loop uses ReliableClient (net/reconnect.hpp), whose nonblocking
+// dial resolves on the loop thread under a timeout.
 #pragma once
 
 #include <chrono>
@@ -25,11 +20,6 @@ namespace protoobf::net {
 
 class Connector {
  public:
-  using ConnectHandler =
-      std::function<void(Expected<std::unique_ptr<Connection>>)>;
-
-  explicit Connector(EventLoop& loop) : loop_(loop) {}
-
   /// Blocking connect with a deadline. A refused connection — the classic
   /// client-raced-the-server startup window, or the fault injector's
   /// connect gate — is retried with capped-exponential backoff (full
@@ -41,16 +31,6 @@ class Connector {
       std::unique_ptr<Framer> framer, Connection::Config config,
       std::chrono::milliseconds timeout = std::chrono::milliseconds(5000),
       BackoffPolicy backoff = {});
-
-  /// Nonblocking connect resolved on the loop thread. Must be called from
-  /// the loop thread (or before the loop runs).
-  void connect(const Endpoint& ep,
-               std::shared_ptr<const ObfuscatedProtocol> protocol,
-               std::unique_ptr<Framer> framer, Connection::Config config,
-               ConnectHandler handler);
-
- private:
-  EventLoop& loop_;
 };
 
 }  // namespace protoobf::net

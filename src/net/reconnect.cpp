@@ -2,6 +2,7 @@
 
 #include <sys/epoll.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -12,19 +13,24 @@
 
 namespace protoobf::net {
 
+namespace {
+// Per-attempt handshake deadline: a dial that neither completes nor fails
+// within it is abandoned and counts as a failed attempt.
+constexpr std::chrono::milliseconds kDialTimeout{2000};
+}  // namespace
+
 std::chrono::milliseconds Backoff::next() {
-  // Grow the ceiling multiplicatively, stopping at the cap (the loop bound
-  // also keeps a large attempt count from overflowing the double).
-  double ceiling = static_cast<double>(policy_.initial.count());
-  const double cap = static_cast<double>(policy_.cap.count());
-  for (std::uint32_t i = 0; i < attempt_ && ceiling < cap; ++i) {
-    ceiling *= policy_.multiplier;
+  // Double the ceiling once per earlier attempt, stopping at the cap — or
+  // at once when it is 0, which doubling never moves.
+  const auto cap = static_cast<std::uint64_t>(policy_.cap.count());
+  auto ceiling =
+      std::min(static_cast<std::uint64_t>(policy_.initial.count()), cap);
+  for (std::uint32_t i = 0; i < attempt_ && ceiling != 0 && ceiling < cap;
+       ++i) {
+    ceiling = std::min(ceiling * 2, cap);
   }
-  if (ceiling > cap) ceiling = cap;
   ++attempt_;
-  auto ms = static_cast<std::uint64_t>(ceiling);
-  if (policy_.full_jitter && ms > 0) ms = rng_.below(ms + 1);
-  return std::chrono::milliseconds(ms);
+  return std::chrono::milliseconds(ceiling > 0 ? rng_.below(ceiling + 1) : 0);
 }
 
 ReliableClient::ReliableClient(
@@ -154,7 +160,7 @@ void ReliableClient::dial() {
     schedule_retry(watched.error());
     return;
   }
-  dial_timer_ = loop_.add_timer(config_.dial_timeout, [this] {
+  dial_timer_ = loop_.add_timer(kDialTimeout, [this] {
     dial_timer_ = 0;
     if (state_ != State::Dialing) return;
     abandon_dial();

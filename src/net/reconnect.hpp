@@ -6,7 +6,7 @@
 // needs to ride through that:
 //
 //   * Backoff — capped exponential delay with full jitter (AWS style:
-//     delay = uniform(0, min(cap, initial * mult^attempt))), seeded so a
+//     delay = uniform(0, min(cap, initial * 2^attempt))), seeded so a
 //     test run's retry schedule is replayable. Connector::dial uses it
 //     between refused attempts; ReliableClient uses it between re-dials.
 //
@@ -49,15 +49,14 @@
 
 namespace protoobf::net {
 
-/// Capped exponential backoff with full jitter. next() advances the
-/// attempt counter; reset() re-arms after the link proves healthy again.
+/// Capped exponential backoff with full jitter: the ceiling doubles per
+/// attempt up to `cap`, and each delay draws uniformly in [0, ceiling] so
+/// a fleet of clients dropped by the same reset does not re-dial in
+/// lockstep. next() advances the attempt counter; reset() re-arms after
+/// the link proves healthy again.
 struct BackoffPolicy {
   std::chrono::milliseconds initial{20};
   std::chrono::milliseconds cap{2000};
-  double multiplier = 2.0;
-  /// Full jitter draws uniformly in [0, ceiling]; without it, a fleet of
-  /// clients dropped by the same reset re-dials in lockstep.
-  bool full_jitter = true;
 };
 
 class Backoff {
@@ -87,9 +86,6 @@ class ReliableClient {
     FramerFactory framer_factory;  // fresh decode state per attempt
     Connection::Config connection;  // ops seam and capture ride along
     BackoffPolicy backoff;
-    /// Per-attempt handshake deadline: a dial that neither completes nor
-    /// fails within it is abandoned and counts as a failed attempt.
-    std::chrono::milliseconds dial_timeout{2000};
     /// Lifetime deadline for regaining a connection: once a drop or dial
     /// failure happens later than this after start(), the client gives
     /// up (on_gave_up fires). 0 = retry forever.

@@ -11,6 +11,11 @@
 
 namespace protoobf::net {
 
+namespace {
+constexpr int kListenBacklog = 128;
+constexpr std::chrono::milliseconds kPendingSweepInterval{100};
+}  // namespace
+
 Server::Server(std::shared_ptr<const ObfuscatedProtocol> protocol,
                FramerFactory framer_factory, Config config)
     : protocol_(std::move(protocol)),
@@ -36,7 +41,7 @@ Status Server::start() {
   Endpoint ep = config_.endpoint;
   const std::size_t listeners = config_.reuse_port ? shards.size() : 1;
   for (std::size_t i = 0; i < listeners; ++i) {
-    auto fd = listen_tcp(ep, config_.backlog,
+    auto fd = listen_tcp(ep, kListenBacklog,
                          /*reuse_port=*/config_.reuse_port);
     if (!fd) return Unexpected(fd.error());
     if (i == 0) {
@@ -65,9 +70,9 @@ Status Server::start() {
       }
     }
     if (config_.shard_pending_limit != 0) {
-      shard.loop.add_timer(config_.pending_sweep_interval,
+      shard.loop.add_timer(kPendingSweepInterval,
                            [this, &shard] { sweep_pending(shard); },
-                           config_.pending_sweep_interval);
+                           kPendingSweepInterval);
     }
   }
   for (auto& shard_ptr : shards_) {
@@ -170,7 +175,6 @@ std::size_t Server::total_occupancy() const {
 }
 
 std::size_t Server::per_shard_cap() const {
-  if (config_.shard_max_connections != 0) return config_.shard_max_connections;
   if (config_.max_connections == 0) return 0;
   return (config_.max_connections + shards_.size() - 1) / shards_.size();
 }
@@ -204,10 +208,8 @@ Server::Shard& Server::pick_target() {
 void Server::maybe_resume_accepts() {
   if (config_.max_connections == 0) return;
   const std::size_t low =
-      config_.low_watermark != 0
-          ? config_.low_watermark
-          : config_.max_connections -
-                std::max<std::size_t>(1, config_.max_connections / 8);
+      config_.max_connections -
+      std::max<std::size_t>(1, config_.max_connections / 8);
   if (total_occupancy() > low) return;
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;

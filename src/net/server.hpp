@@ -37,26 +37,21 @@ class Server {
     Endpoint endpoint;          // port 0 = ephemeral, read back via port()
     std::size_t shards = 1;     // event-loop threads
     bool reuse_port = true;     // per-shard listeners vs round-robin handoff
-    int backlog = 128;
     Connection::Config connection;
 
     // Overload protection. At max_connections the listeners stop being
-    // watched (pending peers wait in the kernel backlog instead of
-    // consuming fds and sessions); accepting resumes once closes bring the
-    // count down to low_watermark (0 = 7/8 of the cap). 0 = no cap.
+    // watched (pending peers wait in the kernel's listen queue of 128
+    // instead of consuming fds and sessions); accepting resumes once closes
+    // bring the count down to 7/8 of the cap. The round-robin handoff skips
+    // a shard holding ceil(max_connections / shards) in favour of the next
+    // one with room (the fd is never dropped — if every shard is full the
+    // least-loaded one takes it; the global cap is what stops intake).
+    // 0 = no cap.
     std::size_t max_connections = 0;
-    std::size_t low_watermark = 0;
-    // Per-shard connection ceiling consulted by the round-robin handoff:
-    // an at-cap shard is skipped in favour of the next one with room (the
-    // fd is never dropped — if every shard is full the least-loaded one
-    // takes it; the global cap is what actually stops intake). 0 = derive
-    // ceil(max_connections / shards), unlimited when that is 0 too.
-    std::size_t shard_max_connections = 0;
-    // Per-shard ceiling on summed write-queue bytes. A periodic sweep
+    // Per-shard ceiling on summed write-queue bytes. A sweep every 100 ms
     // sheds connections — oldest activity first, queue discarded — until
     // the shard is back under. 0 = no ceiling.
     std::size_t shard_pending_limit = 0;
-    std::chrono::milliseconds pending_sweep_interval{100};
     // drain() logs a final registry snapshot (JSON, stderr) once every
     // connection is gone — the operator's shutdown report. Off by default;
     // `protoobf serve` turns it on unless --no-metrics.

@@ -95,6 +95,15 @@ HolderMemo& memo_of(DeriveScratch& scratch, const Inst* holder) {
 
 }  // namespace
 
+std::size_t DeriveScratch::retained() const {
+  std::size_t total = pairs.capacity() * sizeof(DeriveRef) +
+                      matches.capacity() * sizeof(Inst*) +
+                      encoded.capacity() + measured.capacity() +
+                      memo.capacity() * sizeof(HolderMemo);
+  for (const HolderMemo& entry : memo) total += entry.logical.capacity();
+  return total;
+}
+
 Status fill_consts(const Graph& graph, Inst& root) {
   const Node& n = graph.node(root.schema);
   if (n.has_const) {

@@ -66,6 +66,9 @@ struct DeriveScratch {
   // running call (reset at its start); the rest keep their buffers.
   std::vector<HolderMemo> memo;
   std::size_t memo_size = 0;
+
+  /// Bytes of capacity held by the work vectors, buffers and memo.
+  std::size_t retained() const;
 };
 
 /// Fills empty constant fields; errors if a non-empty value contradicts the

@@ -36,15 +36,14 @@ class WireParser {
         nodes_(&ws.nodes()),
         prefix_(prefix),
         resume_(resume),
-        counting_(resume != nullptr),
-        checkpointing_(resume != nullptr && resume->enabled() && prefix),
+        checkpointing_(resume != nullptr),
         scopes_(checkpointing_ ? resume->scope_chain() : ws.scopes()) {}
 
   Expected<InstPtr> parse(BytesView data, std::size_t* consumed = nullptr) {
     resuming_ = false;
     depth_ = 0;
-    if (counting_) ++resume_->mutable_stats().attempts;
     if (checkpointing_) {
+      ++resume_->mutable_stats().attempts;
       if (resume_->active() && data.size() < resume_->suspended_size()) {
         // The buffer front shrank below the suspended attempt's window:
         // the checkpoint describes bytes that no longer exist. Start over.
@@ -285,7 +284,7 @@ class WireParser {
             from = std::max(from, frame->scan_from);
           }
           const auto found = find(r.data.first(r.end), n.delimiter, from);
-          if (counting_) {
+          if (checkpointing_) {
             const std::size_t upto =
                 found ? *found + n.delimiter.size() : r.end;
             resume_->mutable_stats().scanned_bytes +=
@@ -422,7 +421,7 @@ class WireParser {
               frame->pos = r.pos;
             }
             const BytesView w = r.window();
-            if (counting_) {
+            if (checkpointing_) {
               resume_->mutable_stats().scanned_bytes +=
                   std::min(w.size(), n.delimiter.size());
             }
@@ -538,8 +537,7 @@ class WireParser {
   InstPool* nodes_;
   bool prefix_ = false;
   ParseResume* resume_ = nullptr;
-  bool counting_ = false;       // stats accounting requested
-  bool checkpointing_ = false;  // suspend/resume live for this parse
+  bool checkpointing_ = false;  // suspend/resume and stats live for this parse
   bool resuming_ = false;       // descending into a saved spine
   std::size_t depth_ = 0;       // current open-spine depth
   ScopeChain& scopes_;

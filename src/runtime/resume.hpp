@@ -77,15 +77,6 @@ class ParseResume {
   /// Whether a suspended parse is waiting to be continued.
   bool active() const { return active_; }
 
-  /// Checkpointing on/off. When disabled the parser still counts into
-  /// stats() (so a bench can measure the restart-from-zero baseline with
-  /// identical accounting) but never suspends state.
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) {
-    enabled_ = enabled;
-    if (!enabled) invalidate();
-  }
-
   /// Drops any suspended state: partial trees return to their pool, the
   /// scope chain resets. Must be called whenever the buffer front the
   /// checkpoint describes moves for any reason other than appending bytes.
@@ -95,7 +86,6 @@ class ParseResume {
   }
 
   const Stats& stats() const { return stats_; }
-  void reset_stats() { stats_ = Stats(); }
 
   /// Bytes of the buffer front already accounted for by the checkpoint
   /// (the suspended attempt's window size). 0 when inactive.
@@ -132,7 +122,6 @@ class ParseResume {
   ScopeChain scopes_;               // preserved across suspended attempts
   std::size_t seen_ = 0;            // window size at suspension
   bool active_ = false;
-  bool enabled_ = true;
   Stats stats_;
 };
 

@@ -63,6 +63,15 @@ class ScopeChain {
     push();
   }
 
+  /// Bytes of entry capacity held across all scopes, live and retired.
+  std::size_t retained() const {
+    std::size_t total = 0;
+    for (const auto& entries : scopes_) {
+      total += entries.capacity() * sizeof(entries[0]);
+    }
+    return total;
+  }
+
  private:
   std::vector<std::vector<std::pair<NodeId, Inst*>>> scopes_;
   std::size_t depth_ = 0;

@@ -54,8 +54,13 @@ class Workspace {
   InstPool& nodes() { return nodes_; }
   const InstPool& nodes() const { return nodes_; }
 
-  /// Bytes of capacity currently retained by the wire and frame buffers.
-  std::size_t retained() const { return wire_.capacity() + frame_.capacity(); }
+  /// Bytes of capacity currently retained: the wire and frame buffers,
+  /// the idle mirrored-region buffers, the scope table's entries, the
+  /// derive scratch and the node slabs.
+  std::size_t retained() const {
+    return wire_.capacity() + frame_.capacity() + scratch_.idle_capacity() +
+           scopes_.retained() + derive_.retained() + nodes_.slab_bytes();
+  }
 
   /// Releases all retained memory (e.g. when a session goes idle). Node
   /// slabs with live trees stay pinned until those trees are dropped.

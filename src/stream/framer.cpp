@@ -63,8 +63,7 @@ Status LengthPrefixFramer::encode(BytesView payload, Bytes& out) {
   out.reserve(config_.width + payload.size());
   const std::uint64_t length = payload.size();
   for (std::size_t i = 0; i < config_.width; ++i) {
-    const std::size_t shift =
-        8 * (config_.little_endian ? i : config_.width - 1 - i);
+    const std::size_t shift = 8 * (config_.width - 1 - i);
     out.push_back(static_cast<Byte>((length >> shift) & 0xff));
   }
   append(out, payload);
@@ -77,8 +76,7 @@ FrameDecode LengthPrefixFramer::decode(BytesView buffer) {
   }
   std::uint64_t length = 0;
   for (std::size_t i = 0; i < config_.width; ++i) {
-    const std::size_t shift =
-        8 * (config_.little_endian ? i : config_.width - 1 - i);
+    const std::size_t shift = 8 * (config_.width - 1 - i);
     length |= static_cast<std::uint64_t>(buffer[i]) << shift;
   }
   if (config_.max_frame_size > 0 && length > config_.max_frame_size) {
@@ -190,9 +188,7 @@ ObfuscatedFramer::ObfuscatedFramer(
       skeleton_(std::move(skeleton)),
       payload_slot_(payload_slot),
       payload_node_(payload_node),
-      min_need_(min_need) {
-  resume_.set_enabled(config_.resumable_decode);
-}
+      min_need_(min_need) {}
 
 Status ObfuscatedFramer::encode(BytesView payload, Bytes& out) {
   payload_slot_->value.assign(payload.begin(), payload.end());

@@ -105,14 +105,13 @@ class Framer {
   virtual void invalidate_decode_state() {}
 };
 
-/// Transparent `width`-byte payload-length prefix, big- or little-endian.
+/// Transparent `width`-byte big-endian payload-length prefix.
 class LengthPrefixFramer final : public Framer {
  public:
   static constexpr std::size_t kDefaultMaxFrame = 16 * 1024 * 1024;
 
   struct Config {
     std::size_t width = 4;     // prefix bytes, 1..8
-    bool little_endian = false;
     // Decode rejects frames whose payload exceeds this (a garbage or
     // hostile prefix must not stall the stream waiting for gigabytes);
     // encode refuses to produce them. 0 disables the guard.
@@ -137,7 +136,10 @@ class LengthPrefixFramer final : public Framer {
 /// (e.g. a length+body ProtoSpec) is obfuscated like any other protocol, so
 /// message boundaries carry no plaintext structure. Decoding prefix-parses
 /// the frame protocol off the buffer front; ErrorKind::Truncated becomes
-/// the need-more signal.
+/// the need-more signal. The prefix parse is suspended across NeedMore
+/// retries and continued when more bytes arrive, so decode work stays
+/// amortized O(1) per delivered byte even on delimiter-bounded frame specs
+/// (a restart from byte 0 per retry would re-parse the frame per byte).
 class ObfuscatedFramer final : public Framer {
  public:
   struct Config {
@@ -152,12 +154,6 @@ class ObfuscatedFramer final : public Framer {
     // NeedMore, so a hostile trickle that never completes a frame cannot
     // grow the reassembly buffer without bound.
     std::size_t max_frame_size = LengthPrefixFramer::kDefaultMaxFrame;
-    // Keep a suspended prefix parse across NeedMore retries and continue
-    // it when more bytes arrive (amortized O(1) decode work per delivered
-    // byte, the fix for delimiter-bounded frame specs degrading to a full
-    // re-parse per byte). Off = restart from byte 0 every retry, the
-    // pre-resume behaviour — kept as a bench/debug baseline.
-    bool resumable_decode = true;
   };
 
   /// Fails when the frame protocol's wire format is not stream-safe (see
@@ -193,7 +189,6 @@ class ObfuscatedFramer final : public Framer {
   /// bench's decodes-per-frame / bytes-rescanned-per-frame counters and
   /// the O(frame) CI guard read these.
   const ParseResume::Stats& resume_stats() const { return resume_.stats(); }
-  void reset_resume_stats() { resume_.reset_stats(); }
 
   /// Whether a partially decoded frame is currently suspended.
   bool decode_suspended() const { return resume_.active(); }

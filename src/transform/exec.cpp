@@ -243,8 +243,7 @@ Status for_each_match(InstPtr& p, NodeId match, Op&& op) {
   return Status::success();
 }
 
-}  // namespace
-
+// Applies one τi to every matching instance in the tree.
 Status forward_entry(InstPtr& root, const AppliedTransform& entry, Rng& rng,
                      InstPool* pool) {
   switch (entry.kind) {
@@ -290,6 +289,7 @@ Status forward_entry(InstPtr& root, const AppliedTransform& entry, Rng& rng,
   return Status::success();
 }
 
+// Applies τi⁻¹ to every matching instance in the tree.
 Status inverse_entry(InstPtr& root, const AppliedTransform& entry,
                      InstPool* pool) {
   switch (entry.kind) {
@@ -334,6 +334,8 @@ Status inverse_entry(InstPtr& root, const AppliedTransform& entry,
   }
   return Status::success();
 }
+
+}  // namespace
 
 Status forward_all(InstPtr& root, const Journal& journal, Rng& rng,
                    InstPool* pool) {

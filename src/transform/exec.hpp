@@ -24,14 +24,6 @@ namespace protoobf {
 /// replays journals with zero heap traffic in steady state. Null keeps the
 /// plain heap behaviour. Results are bit-identical either way.
 
-/// Applies one τi to every matching instance in the tree.
-Status forward_entry(InstPtr& root, const AppliedTransform& entry, Rng& rng,
-                     InstPool* pool = nullptr);
-
-/// Applies τi⁻¹ to every matching instance in the tree.
-Status inverse_entry(InstPtr& root, const AppliedTransform& entry,
-                     InstPool* pool = nullptr);
-
 /// Runs the whole journal forward (τ1 ... τn).
 Status forward_all(InstPtr& root, const Journal& journal, Rng& rng,
                    InstPool* pool = nullptr);

@@ -23,35 +23,6 @@ const char* to_string(TransformKind kind) {
   return "?";
 }
 
-bool changes_size(TransformKind kind) {
-  switch (kind) {
-    case TransformKind::SplitAdd:
-    case TransformKind::SplitSub:
-    case TransformKind::SplitXor:
-    case TransformKind::BoundaryChange:
-    case TransformKind::PadInsert:
-    case TransformKind::RepSplit:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool randomizes_bytes(TransformKind kind) {
-  switch (kind) {
-    case TransformKind::SplitAdd:
-    case TransformKind::SplitSub:
-    case TransformKind::SplitXor:
-    case TransformKind::ConstAdd:
-    case TransformKind::ConstSub:
-    case TransformKind::ConstXor:
-    case TransformKind::PadInsert:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::string AppliedTransform::describe(const Graph& graph) const {
   std::string out = to_string(kind);
   out += " on '";

@@ -100,11 +100,4 @@ struct AppliedTransform {
 
 using Journal = std::vector<AppliedTransform>;
 
-/// True for transformations that change the wire size of the target subtree.
-bool changes_size(TransformKind kind);
-
-/// True for transformations that replace target bytes with arbitrary values
-/// (and therefore may not appear under a delimiter-scanned region).
-bool randomizes_bytes(TransformKind kind);
-
 }  // namespace protoobf

@@ -78,12 +78,6 @@ void append(Bytes& dst, BytesView src) {
   dst.insert(dst.end(), src.begin(), src.end());
 }
 
-Bytes concat(BytesView a, BytesView b) {
-  Bytes out(a.begin(), a.end());
-  append(out, b);
-  return out;
-}
-
 Bytes reversed(BytesView data) {
   Bytes out;
   assign_reversed(out, data);
@@ -104,6 +98,12 @@ Bytes BufferPool::acquire() {
 
 void BufferPool::release(Bytes buffer) {
   free_.push_back(std::move(buffer));
+}
+
+std::size_t BufferPool::idle_capacity() const {
+  std::size_t total = 0;
+  for (const Bytes& buffer : free_) total += buffer.capacity();
+  return total;
 }
 
 bool starts_with(BytesView data, BytesView prefix) {
@@ -132,39 +132,13 @@ void zip_bytes_into(Bytes& dst, BytesView a, BytesView b, Op op) {
 }
 
 template <typename Op>
-Bytes zip_bytes(BytesView a, BytesView b, Op op) {
-  Bytes out;
-  zip_bytes_into(out, a, b, op);
-  return out;
-}
-
-template <typename Op>
 void zip_key_in(Bytes& data, BytesView key, Op op) {
   assert(!key.empty());
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<Byte>(op(data[i], key[i % key.size()]));
   }
 }
-
-template <typename Op>
-Bytes zip_key(BytesView a, BytesView key, Op op) {
-  Bytes out(a.begin(), a.end());
-  zip_key_in(out, key, op);
-  return out;
-}
 }  // namespace
-
-Bytes add_mod256(BytesView a, BytesView b) {
-  return zip_bytes(a, b, [](unsigned x, unsigned y) { return x + y; });
-}
-
-Bytes sub_mod256(BytesView a, BytesView b) {
-  return zip_bytes(a, b, [](unsigned x, unsigned y) { return x - y; });
-}
-
-Bytes xor_bytes(BytesView a, BytesView b) {
-  return zip_bytes(a, b, [](unsigned x, unsigned y) { return x ^ y; });
-}
 
 void add_mod256_into(Bytes& dst, BytesView a, BytesView b) {
   zip_bytes_into(dst, a, b, [](unsigned x, unsigned y) { return x + y; });
@@ -176,18 +150,6 @@ void sub_mod256_into(Bytes& dst, BytesView a, BytesView b) {
 
 void xor_bytes_into(Bytes& dst, BytesView a, BytesView b) {
   zip_bytes_into(dst, a, b, [](unsigned x, unsigned y) { return x ^ y; });
-}
-
-Bytes add_key(BytesView a, BytesView key) {
-  return zip_key(a, key, [](unsigned x, unsigned y) { return x + y; });
-}
-
-Bytes sub_key(BytesView a, BytesView key) {
-  return zip_key(a, key, [](unsigned x, unsigned y) { return x - y; });
-}
-
-Bytes xor_key(BytesView a, BytesView key) {
-  return zip_key(a, key, [](unsigned x, unsigned y) { return x ^ y; });
 }
 
 void add_key_in(Bytes& data, BytesView key) {

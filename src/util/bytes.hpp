@@ -38,7 +38,6 @@ std::optional<Bytes> from_hex(std::string_view hex);
 std::string hexdump(BytesView data);
 
 void append(Bytes& dst, BytesView src);
-Bytes concat(BytesView a, BytesView b);
 Bytes reversed(BytesView data);
 
 /// Replaces `dst`'s contents with `src` reversed, reusing `dst`'s capacity.
@@ -60,6 +59,9 @@ class BufferPool {
   /// Number of idle buffers currently held.
   std::size_t idle() const { return free_.size(); }
 
+  /// Summed capacity of the idle buffers, in bytes.
+  std::size_t idle_capacity() const;
+
   /// Drops all idle buffers (and their capacity).
   void shrink() { free_.clear(); }
 
@@ -73,26 +75,16 @@ bool starts_with(BytesView data, BytesView prefix);
 std::optional<std::size_t> find(BytesView data, BytesView needle,
                                 std::size_t from = 0);
 
-/// Byte-wise (a[i] + b[i]) mod 256. Requires equal sizes.
-Bytes add_mod256(BytesView a, BytesView b);
-/// Byte-wise (a[i] - b[i]) mod 256. Requires equal sizes.
-Bytes sub_mod256(BytesView a, BytesView b);
-/// Byte-wise a[i] ^ b[i]. Requires equal sizes.
-Bytes xor_bytes(BytesView a, BytesView b);
-
-/// In-place variants replacing `dst`'s contents while reusing its capacity
-/// — the hot-path form used by the pooled transform executor, where `dst`
-/// is a recycled terminal payload buffer. `dst` must not alias a or b.
+/// Byte-wise (a[i] + b[i]) mod 256, (a[i] - b[i]) mod 256 and a[i] ^ b[i]
+/// into `dst`, replacing its contents while reusing its capacity — the
+/// pooled transform executor passes a recycled terminal payload buffer.
+/// Requires equal sizes; `dst` must not alias a or b.
 void add_mod256_into(Bytes& dst, BytesView a, BytesView b);
 void sub_mod256_into(Bytes& dst, BytesView a, BytesView b);
 void xor_bytes_into(Bytes& dst, BytesView a, BytesView b);
 
-/// Byte-wise (a[i] + key[i % key.size()]) mod 256; key must be non-empty.
-Bytes add_key(BytesView a, BytesView key);
-Bytes sub_key(BytesView a, BytesView key);
-Bytes xor_key(BytesView a, BytesView key);
-
-/// In-place key combination on `data` itself (no allocation at all).
+/// Byte-wise (data[i] + key[i % key.size()]) mod 256 (and the - and ^
+/// forms) on `data` itself, with no allocation; key must be non-empty.
 void add_key_in(Bytes& data, BytesView key);
 void sub_key_in(Bytes& data, BytesView key);
 void xor_key_in(Bytes& data, BytesView key);

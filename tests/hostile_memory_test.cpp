@@ -202,5 +202,47 @@ TEST(HostileMemory, ResyncReturnsReaderAndArenaToBaseline) {
   EXPECT_EQ(session.workspace().nodes().stats().slabs, 0u);
 }
 
+TEST(HostileMemory, RetainedCountsEveryWorkspaceBuffer) {
+  // A length holder that canonicalize measures and a ReadFromEnd region
+  // that parse reverses through the scratch pool: a round trip fills the
+  // derive scratch, the scope table, the mirrored-region pool and the node
+  // slabs, not only the wire buffer. retained() must see all of them, or
+  // the zero after shrink() proves nothing about them.
+  auto graph = Framework::load_spec(R"(
+protocol P
+m: seq end {
+  len: terminal fixed(2)
+  body: terminal length(len)
+  tail: terminal end
+}
+)");
+  ASSERT_TRUE(graph.ok()) << graph.error().message;
+  ObfuscationConfig cfg;
+  cfg.seed = 5;
+  cfg.per_node = 2;
+  cfg.enabled = {TransformKind::ReadFromEnd};
+  auto protocol = Framework::generate(*graph, cfg);
+  ASSERT_TRUE(protocol.ok()) << protocol.error().message;
+  ASSERT_GT(protocol->stats().per_kind[static_cast<std::size_t>(
+                TransformKind::ReadFromEnd)],
+            0u);
+
+  Message msg(*graph);
+  msg.set_text("body", "a length-measured body");
+  msg.set_text("tail", "tail");
+  Workspace ws;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    ASSERT_TRUE(protocol->serialize_into(msg.root(), seed, ws.wire(), ws).ok());
+    const Bytes wire = ws.wire();
+    auto back = protocol->parse(wire, ws);
+    ASSERT_TRUE(back.ok()) << back.error().message;
+  }
+  ASSERT_GT(ws.scratch().idle(), 0u) << "no mirrored region was parsed";
+  EXPECT_GT(ws.retained(), ws.wire().capacity() + ws.frame().capacity());
+
+  ws.shrink();
+  EXPECT_EQ(ws.retained(), 0u);
+}
+
 }  // namespace
 }  // namespace protoobf

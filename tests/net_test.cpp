@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -27,6 +28,7 @@
 #include "net/connector.hpp"
 #include "runtime/parse.hpp"
 #include "net/server.hpp"
+#include "obs/families.hpp"
 #include "session/protocol_cache.hpp"
 #include "util/rng.hpp"
 
@@ -83,10 +85,15 @@ bool wait_for(const std::function<bool()>& cond,
 }
 
 /// Blocking loopback client socket (the "simple peer" side of the tests —
-/// the framework side under test is the nonblocking server).
-int blocking_client(std::uint16_t port) {
+/// the framework side under test is the nonblocking server). A nonzero
+/// `rcvbuf` shrinks SO_RCVBUF before connecting.
+int blocking_client(std::uint16_t port, int rcvbuf = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
+  if (rcvbuf != 0) {
+    EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf),
+              0);
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -241,52 +248,6 @@ TEST(NetEcho, ConnectorClientRoundTripsThroughShardedServer) {
   server->stop();
 }
 
-TEST(NetEcho, AsyncConnectorResolvesOnTheLoop) {
-  auto protocol = compile(2018, 1);
-  auto server = echo_server(protocol, {});
-
-  EventLoop loop;
-  Connector connector(loop);
-  std::unique_ptr<Connection> conn;
-  bool failed = false;
-  connector.connect({"127.0.0.1", server->port()}, protocol,
-                    std::make_unique<LengthPrefixFramer>(), {},
-                    [&](Expected<std::unique_ptr<Connection>> result) {
-                      if (result.ok()) {
-                        conn = std::move(*result);
-                      } else {
-                        failed = true;
-                      }
-                    });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (conn == nullptr && !failed &&
-         std::chrono::steady_clock::now() < deadline) {
-    loop.run_once(50);
-  }
-  ASSERT_TRUE(conn != nullptr) << "async connect did not resolve";
-
-  // One echo through the async-connected channel, loop pumped inline.
-  auto g = Framework::load_spec(kSpec).value();
-  Rng rng(11);
-  Message msg = random_message(g, rng);
-  ASSERT_TRUE(protocol->canonicalize(msg.root()).ok());
-  bool got_echo = false;
-  conn->on_message([&](Connection&, Expected<InstPtr> reply) {
-    ASSERT_TRUE(reply.ok());
-    EXPECT_TRUE(ast::equal(**reply, msg.root()));
-    got_echo = true;
-  });
-  ASSERT_TRUE(conn->open().ok());
-  ASSERT_TRUE(conn->send(msg.root(), 5).ok());
-  while (!got_echo && std::chrono::steady_clock::now() < deadline) {
-    loop.run_once(50);
-  }
-  EXPECT_TRUE(got_echo);
-  conn->close();
-  server->stop();
-}
-
 TEST(NetEcho, SendBeforeOpenFlushesOnceOpened) {
   auto protocol = compile(2018, 1);
   auto g = Framework::load_spec(kSpec).value();
@@ -325,33 +286,6 @@ TEST(NetEcho, SendBeforeOpenFlushesOnceOpened) {
   EXPECT_EQ(echoed, kMessages);
   (*conn)->close();
   server->stop();
-}
-
-TEST(NetEcho, AsyncConnectToDeadPortReportsError) {
-  // Grab an ephemeral port, then close the listener so nothing serves it.
-  auto doomed = listen_tcp({"127.0.0.1", 0}, 1);
-  ASSERT_TRUE(doomed.ok());
-  const std::uint16_t port = local_port(doomed->get()).value();
-  doomed->reset();
-
-  auto protocol = compile(2018, 1);
-  EventLoop loop;
-  Connector connector(loop);
-  bool resolved = false;
-  bool failed = false;
-  connector.connect({"127.0.0.1", port}, protocol,
-                    std::make_unique<LengthPrefixFramer>(), {},
-                    [&](Expected<std::unique_ptr<Connection>> result) {
-                      resolved = true;
-                      failed = !result.ok();
-                    });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!resolved && std::chrono::steady_clock::now() < deadline) {
-    loop.run_once(50);
-  }
-  EXPECT_TRUE(resolved);
-  EXPECT_TRUE(failed);
 }
 
 // --- byte identity vs the in-memory channel path ----------------------------
@@ -549,6 +483,88 @@ TEST(NetBackpressure, HighWatermarkPausesAndWritableFiresOnDrain) {
   EXPECT_TRUE(writable_fired.load());
   EXPECT_EQ(received, sent_count.load());
   EXPECT_EQ(channel.reader().buffered(), 0u) << "server cut a frame short";
+  server.stop();
+}
+
+// --- pending-byte sweeper ---------------------------------------------------
+
+TEST(NetOverload, PendingSweepShedsAPeerThatNeverReads) {
+  auto protocol = compile(2018, 1);
+  auto g = Framework::load_spec(kSpec).value();
+
+  Message big(g);
+  ASSERT_TRUE(big.set("tag", to_bytes("BG")).ok());
+  ASSERT_TRUE(big.set("body", Bytes(8192, 'x')).ok());
+  ASSERT_TRUE(protocol->canonicalize(big.root()).ok());
+
+  Server::Config cfg;
+  // A small SO_SNDBUF keeps the flood in the user-space write queue, where
+  // the sweeper counts it.
+  cfg.connection.send_buffer = 4096;
+  cfg.shard_pending_limit = 64 * 1024;
+  Server server(protocol, length_prefix_framer_factory(), cfg);
+  server.on_accept([&](Connection& conn) {
+    conn.on_message([&](Connection& c, Expected<InstPtr> msg) {
+      if (!msg.ok()) return;
+      const Inst* tag = ast::find_path(g, **msg, "msg.tag");
+      if (tag != nullptr && tag->value == to_bytes("HG")) {
+        // The hog's request: about 512 KiB of replies, far past the limit.
+        for (std::uint64_t i = 1; i <= 64; ++i) {
+          ASSERT_TRUE(c.send(big.root(), i).ok());
+        }
+        return;
+      }
+      (void)c.send(**msg, c.stats().messages_in);
+    });
+  });
+  ASSERT_TRUE(server.start().ok());
+  obs::Counter& shed_metric = obs::NetMetrics::for_shard(0).shed;
+  const std::uint64_t shed_before = shed_metric.value();
+
+  // The hog asks for the flood and never reads; its small receive window
+  // leaves nearly all of it queued on the server.
+  const int hog = blocking_client(server.port(), /*rcvbuf=*/4096);
+  Session session(protocol);
+  LengthPrefixFramer framer;
+  Channel channel(session, framer);
+  Message request(g);
+  ASSERT_TRUE(request.set("tag", to_bytes("HG")).ok());
+  ASSERT_TRUE(request.set("body", to_bytes("flood me")).ok());
+  ASSERT_TRUE(protocol->canonicalize(request.root()).ok());
+  auto framed = channel.send(request.root(), 3);
+  ASSERT_TRUE(framed.ok());
+  ASSERT_EQ(::send(hog, framed->data(), framed->size(), 0),
+            static_cast<ssize_t>(framed->size()));
+
+  ASSERT_TRUE(wait_for([&] { return server.stats().shed >= 1; }))
+      << "the sweeper never shed the peer that stopped reading";
+  EXPECT_GE(shed_metric.value(), shed_before + 1);
+
+  // A well-behaved client on the same shard is still served.
+  const int good = blocking_client(server.port());
+  Rng rng(29);
+  Message msg = random_message(g, rng);
+  ASSERT_TRUE(protocol->canonicalize(msg.root()).ok());
+  framed = channel.send(msg.root(), 5);
+  ASSERT_TRUE(framed.ok());
+  ASSERT_EQ(::send(good, framed->data(), framed->size(), 0),
+            static_cast<ssize_t>(framed->size()));
+  Byte buf[4096];
+  InstPtr echo;
+  while (echo == nullptr) {
+    const ssize_t n = ::recv(good, buf, sizeof buf, 0);
+    ASSERT_GT(n, 0);
+    channel.on_bytes(BytesView(buf, static_cast<std::size_t>(n)));
+    if (auto m = channel.receive()) {
+      ASSERT_TRUE(m->ok());
+      echo = std::move(**m);
+    }
+  }
+  EXPECT_TRUE(ast::equal(*echo, msg.root()));
+  EXPECT_EQ(server.stats().shed, 1u);
+
+  ::close(hog);
+  ::close(good);
   server.stop();
 }
 
@@ -835,6 +851,54 @@ TEST(EventLoop, PeriodicTimerCancelsItselfAndReArmsAReplacement) {
   EXPECT_EQ(replacement, 1);
 }
 
+// --- reconnect backoff ------------------------------------------------------
+
+TEST(Backoff, DelaysStayUnderADoublingCeilingThatSaturatesAtTheCap) {
+  BackoffPolicy policy;
+  policy.initial = std::chrono::milliseconds(10);
+  policy.cap = std::chrono::milliseconds(300);
+  Backoff backoff(policy, 7);
+  std::int64_t top_draw = 0;
+  for (std::uint32_t k = 0; k < 200; ++k) {
+    const std::int64_t ceiling =
+        std::min<std::int64_t>(300, std::int64_t{10} << std::min(k, 20u));
+    const auto delay = backoff.next();
+    EXPECT_GE(delay.count(), 0) << "attempt " << k;
+    EXPECT_LE(delay.count(), ceiling) << "attempt " << k;
+    if (k >= 5) top_draw = std::max<std::int64_t>(top_draw, delay.count());
+  }
+  EXPECT_EQ(backoff.attempts(), 200u);
+  // From attempt 5 on the ceiling is the cap itself, not the last rung
+  // below it (160 ms): 195 uniform draws reach past it.
+  EXPECT_GT(top_draw, 160);
+
+  backoff.reset();
+  EXPECT_EQ(backoff.attempts(), 0u);
+  EXPECT_LE(backoff.next().count(), 10) << "reset() must return to rung 0";
+}
+
+TEST(Backoff, EqualSeedsGiveEqualSchedules) {
+  Backoff a(BackoffPolicy{}, 42);
+  Backoff b(BackoffPolicy{}, 42);
+  Backoff other(BackoffPolicy{}, 43);
+  bool differs = false;
+  for (int i = 0; i < 32; ++i) {
+    const auto delay = a.next();
+    EXPECT_EQ(delay, b.next()) << "attempt " << i;
+    differs = differs || delay != other.next();
+  }
+  EXPECT_TRUE(differs) << "the seed does not reach the jitter";
+}
+
+TEST(Backoff, ZeroInitialDelayStaysZero) {
+  BackoffPolicy policy;
+  policy.initial = std::chrono::milliseconds(0);
+  Backoff backoff(policy, 1);
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_EQ(backoff.next().count(), 0) << "attempt " << i;
+  }
+}
+
 // --- round-robin handoff at the per-shard cap -------------------------------
 
 TEST(NetServer, RoundRobinHandoffSkipsShardAtItsConnectionCap) {
@@ -842,7 +906,7 @@ TEST(NetServer, RoundRobinHandoffSkipsShardAtItsConnectionCap) {
   Server::Config cfg;
   cfg.shards = 3;
   cfg.reuse_port = false;  // shard 0 accepts, hands fds around
-  cfg.shard_max_connections = 1;
+  cfg.max_connections = 3;  // per-shard cap: ceil(3 / 3) = 1
   auto server = echo_server(protocol, cfg);
 
   // c1 -> shard 0, c2 -> shard 1 (plain rotation).

@@ -120,21 +120,17 @@ TEST(ParseResume, DelimiterScanNeverRereadsRejectedBytes) {
   ASSERT_TRUE(tree.ok()) << tree.error().message;
   // Every byte is examined once per scanned region it belongs to, plus a
   // (delimiter-1)-byte overlap per retry: comfortably under 4x the wire.
+  // Re-scanning the body from its start on every attempt would examine
+  // about wire²/2 bytes.
   EXPECT_LE(resume.stats().scanned_bytes, 4 * wire.size())
       << "resumable scan degraded toward O(n^2)";
+  EXPECT_EQ(resume.stats().resumed + 1, resume.stats().attempts);
 
-  // Restart-from-zero baseline (checkpointing disabled, same accounting):
-  // the same delivery rescans the front on every attempt — quadratic.
-  ParseResume baseline;
-  baseline.set_enabled(false);
-  Workspace baseline_ws;
-  auto base_tree =
-      trickle_parse(*protocol, wire, 1, baseline, baseline_ws, &consumed);
-  ASSERT_TRUE(base_tree.ok());
-  EXPECT_GT(baseline.stats().scanned_bytes, 16 * wire.size())
-      << "baseline unexpectedly cheap: the regression this guards is gone?";
-  EXPECT_EQ(baseline.stats().resumed, 0u);
-  EXPECT_TRUE(ast::equal(**tree, **base_tree));
+  // The one-shot prefix parse is the reference the resumed tree must equal.
+  Workspace oneshot_ws;
+  auto oneshot = protocol->parse_prefix(wire, &consumed, oneshot_ws);
+  ASSERT_TRUE(oneshot.ok()) << oneshot.error().message;
+  EXPECT_TRUE(ast::equal(**tree, **oneshot));
 }
 
 TEST(ParseResume, StopMarkerRepetitionResumesAcrossElements) {

@@ -45,22 +45,41 @@ TEST(Bytes, StartsWith) {
 TEST(Bytes, AddSubMod256AreInverse) {
   const Bytes v{0x01, 0xff, 0x80, 0x00};
   const Bytes k{0xff, 0x01, 0x80, 0x10};
-  EXPECT_EQ(sub_mod256(add_mod256(v, k), k), v);
-  EXPECT_EQ(add_mod256(sub_mod256(v, k), k), v);
+  Bytes sum;
+  Bytes back;
+  add_mod256_into(sum, v, k);
+  EXPECT_EQ(sum, (Bytes{0x00, 0x00, 0x00, 0x10}));
+  sub_mod256_into(back, sum, k);
+  EXPECT_EQ(back, v);
+  Bytes diff;
+  sub_mod256_into(diff, v, k);
+  add_mod256_into(back, diff, k);
+  EXPECT_EQ(back, v);
 }
 
 TEST(Bytes, XorIsInvolution) {
   const Bytes v{0xaa, 0x55};
   const Bytes k{0x0f, 0xf0};
-  EXPECT_EQ(xor_bytes(xor_bytes(v, k), k), v);
+  Bytes once;
+  Bytes twice;
+  xor_bytes_into(once, v, k);
+  EXPECT_EQ(once, (Bytes{0xa5, 0xa5}));
+  xor_bytes_into(twice, once, k);
+  EXPECT_EQ(twice, v);
 }
 
 TEST(Bytes, KeyedOpsCycleTheKey) {
   const Bytes v{1, 2, 3, 4, 5};
   const Bytes key{10, 20};
-  const Bytes out = add_key(v, key);
-  EXPECT_EQ(out, (Bytes{11, 22, 13, 24, 15}));
-  EXPECT_EQ(sub_key(out, key), v);
+  Bytes data = v;
+  add_key_in(data, key);
+  EXPECT_EQ(data, (Bytes{11, 22, 13, 24, 15}));
+  sub_key_in(data, key);
+  EXPECT_EQ(data, v);
+  xor_key_in(data, key);
+  EXPECT_EQ(data, (Bytes{11, 22, 9, 16, 15}));
+  xor_key_in(data, key);
+  EXPECT_EQ(data, v);
 }
 
 TEST(Bytes, BigEndianRoundTrip) {
